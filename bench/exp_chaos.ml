@@ -3,10 +3,11 @@
 
    A. Worker crashes and hangs injected mid-sweep (Dcs.Fault policies drawn
       from the per-attempt streams): the unsupervised pool aborts the whole
-      sweep at the first failure, the supervised pool restarts the failing
-      trials on fresh domains and completes with results bit-identical to
-      the clean run — the injected faults live on the attempt streams, the
-      trial values on the task streams, so recovery cannot perturb results.
+      sweep at the lowest failing trial, the supervised pool restarts the
+      failing trials on fresh domains and completes with results
+      bit-identical to the clean run — the injected faults live on the
+      attempt streams, the trial values on the task streams, so recovery
+      cannot perturb results.
 
    B. Checkpoint chaos: a sweep is interrupted at a deterministic point
       (simulated kill), then its snapshot is bit-flipped or truncated. The
@@ -63,8 +64,9 @@ let run () =
       done;
     trial_value ctx.Pool.rng
   in
+  let indices = Array.init trials_a Fun.id in
   let clean, _ =
-    Pool.run_supervised ~restart_budget:0 ~rng:master_a ~n:trials_a (fun ctx ->
+    Pool.run_supervised ~restart_budget:0 ~rng:master_a ~indices (fun ctx ->
         trial_value ctx.Pool.rng)
   in
   let ta =
@@ -83,15 +85,14 @@ let run () =
     (fun (crash, hang) ->
       let supervised_row =
         match
-          Pool.run_supervised ~restart_budget ~deadline ~rng:master_a
-            ~n:trials_a
+          Pool.run_supervised ~restart_budget ~deadline ~rng:master_a ~indices
             (chaos_task ~crash ~hang)
         with
         | vals, rep -> Some (vals, rep)
         | exception Pool.Poisoned _ -> None
       in
-      (* The same chaos decisions at attempt 0, no supervision: first
-         failure kills the sweep, pinned to the lowest failing trial. *)
+      (* The same chaos decisions at attempt 0, no supervision: any
+         failure aborts the sweep, reported at the lowest failing trial. *)
       let unsupervised =
         let probe i =
           let task_master = Prng.split master_a i in
@@ -107,7 +108,9 @@ let run () =
           in
           chaos_task ~crash ~hang ctx
         in
-        match Pool.parallel_init ~n:trials_a probe with
+        match
+          Pool.run_batched ~arena:(fun () -> ()) ~n:trials_a (fun () -> probe)
+        with
         | _ -> "completed"
         | exception Pool.Task_failed { index; exn; _ } ->
             Printf.sprintf "ABORTED at trial %d (%s)" index

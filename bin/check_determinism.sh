@@ -245,3 +245,6 @@ echo "== test suite with DCS_DOMAINS=4 =="
 DCS_DOMAINS=4 dune exec --no-build test/main.exe
 
 echo "OK: suites green, tables identical per experiment, kill/resume identical, metrics snapshots identical under DCS_DOMAINS=1, 2 and 4"
+
+echo "== library size =="
+bin/api_size.sh

@@ -21,7 +21,7 @@ let () =
      sharded per domain: nothing is lost, whatever DCS_DOMAINS says. *)
   let rng = Prng.create 2024 in
   let results =
-    Pool.parallel_init ~n:24 (fun i ->
+    Pool.run_batched ~arena:(fun () -> ()) ~n:24 (fun () i ->
         Obs.Trace.with_span "demo.trial" @@ fun () ->
         M.inc trials;
         let rng = Prng.split rng i in
@@ -38,7 +38,8 @@ let () =
      successful retry commits. The counter ends at exactly +8. *)
   let attempts = M.counter "demo.supervised_tasks" in
   let _, rep =
-    Pool.run_supervised ~rng:(Prng.create 7) ~n:8 (fun ctx ->
+    Pool.run_supervised ~rng:(Prng.create 7) ~indices:(Array.init 8 Fun.id)
+      (fun ctx ->
         M.inc attempts;
         if ctx.Pool.attempt = 0 && ctx.Pool.index = 3 then failwith "flaky";
         ctx.Pool.index)

@@ -23,8 +23,6 @@ let send t ~bits =
   Metrics.inc ~by:bits m_bits;
   Metrics.inc m_messages
 
-let exchange = send
-
 let total_bits t = t.bits
 let rounds t = t.rounds
 

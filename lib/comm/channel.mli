@@ -13,14 +13,10 @@ val create : unit -> t
 val send : t -> bits:int -> unit
 (** Record a message of [bits] bits from Alice to Bob. *)
 
-val exchange : t -> bits:int -> unit
-(** Record an interactive exchange (used by the Lemma 5.6 query simulation,
-    where each local query costs at most 2 bits). *)
-
 val total_bits : t -> int
 
 val rounds : t -> int
-(** Number of [send]/[exchange] events. *)
+(** Number of [send] events. *)
 
 (** {2 Lossy channels}
 
@@ -28,7 +24,7 @@ val rounds : t -> int
     transmission may be dropped (the receiver sees nothing) or silently
     corrupted (one bit of the payload is flipped — the receiver only finds
     out if the payload carries its own checksum, cf.
-    {!Dcs_graph.Serialize.unframe}). Fault decisions come from a
+    {!Dcs_util.Checksum.unframe}). Fault decisions come from a
     {!Dcs_util.Fault.t}, so runs are reproducible; with
     {!Dcs_util.Fault.disabled} every transmission is delivered verbatim and
     the metering is identical to a plain channel.

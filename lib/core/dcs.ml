@@ -8,12 +8,16 @@
     {1 Substrates}
 
     - {!Prng}, {!Pool}, {!Stats}, {!Bits}, {!Table} — determinism, the
-      parallel trial engine, statistics, and bit-level size accounting.
+      parallel trial engine ({!Pool.run_batched} and
+      {!Pool.run_supervised}, one chunked executor), statistics, and
+      bit-level size accounting.
     - {!Fault}, {!Retry}, {!Checksum} — the deterministic fault-injection
-      layer: seed-driven drop/corrupt/timeout/lie policies, bounded
-      retry-with-backoff and majority voting, CRC-32 message framing.
+      layer: seed-driven drop/corrupt/timeout/lie policies, one bounded
+      retry loop with a pluggable backoff schedule, majority voting, CRC-32
+      message framing.
     - {!Checkpoint} — crash-safe, CRC-framed checkpoint/resume for
-      supervised trial sweeps (atomic snapshots, corruption rejection).
+      supervised trial sweeps ({!Checkpoint.sweep}: atomic snapshots,
+      corruption rejection).
     - {!Hadamard}, {!Pm_vector}, {!Decode_matrix} — the Lemma 3.2 machinery.
     - {!Digraph}, {!Ugraph}, {!Csr}, {!Cut}, {!Balance}, {!Generators},
       {!Traversal} — graphs and cuts ({!Csr} is the frozen flat-array view
@@ -68,7 +72,7 @@
     {1 Scheduling}
 
     - {!Sched} — experiments as typed stage DAGs: level-parallel execution
-      over {!Pool.run_supervised_batched} and a content-addressed artifact
+      over {!Pool.run_supervised} and a content-addressed artifact
       store (in-memory LRU spilling through {!Checkpoint}), so shared
       generate/freeze/sketch prefixes compute once and warm reruns are
       byte-identical to cold ones. *)

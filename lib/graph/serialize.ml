@@ -50,21 +50,17 @@ let input_digraph ic = digraph_of_string (read_all ic)
 (* --- checksummed frames ---
 
    The frame format lives in Dcs_util.Checksum so that util-level code
-   (Checkpoint snapshots) shares the exact framing the lossy channels use;
-   these aliases keep the historical entry points. *)
-
-let frame = Dcs_util.Checksum.frame
-let unframe = Dcs_util.Checksum.unframe
+   (Checkpoint snapshots) shares the exact framing the lossy channels use. *)
 
 let parse_frame of_string s =
-  match unframe s with
+  match Dcs_util.Checksum.unframe s with
   | Error _ as e -> e
   | Ok body -> (
       (* The checksum already vouches for the bytes; parse failures here
          mean the sender framed a non-graph payload. *)
       try Ok (of_string body) with _ -> Error "frame: payload is not a graph")
 
-let ugraph_to_frame g = frame (ugraph_to_string g)
+let ugraph_to_frame g = Dcs_util.Checksum.frame (ugraph_to_string g)
 let ugraph_of_frame s = parse_frame ugraph_of_string s
-let digraph_to_frame g = frame (digraph_to_string g)
+let digraph_to_frame g = Dcs_util.Checksum.frame (digraph_to_string g)
 let digraph_of_frame s = parse_frame digraph_of_string s

@@ -27,15 +27,12 @@ val input_digraph : in_channel -> Digraph.t
     detects every single-bit flip anywhere in the frame (header included:
     a damaged header fails to parse or disagrees with the payload), so a
     receiver can always distinguish a corrupted delivery from a clean one
-    and ask for a retransmission. *)
-
-val frame : string -> string
-
-val unframe : string -> (string, string) result
-(** Payload if the frame is intact, otherwise a diagnostic ([Error]). *)
+    and ask for a retransmission. The codec itself is
+    {!Dcs_util.Checksum.frame}/{!Dcs_util.Checksum.unframe}, shared with
+    Checkpoint snapshots; this section frames graphs with it. *)
 
 val ugraph_to_frame : Ugraph.t -> string
-(** [frame] of [ugraph_to_string]. *)
+(** [Checksum.frame] of [ugraph_to_string]. *)
 
 val ugraph_of_frame : string -> (Ugraph.t, string) result
 (** Verifies the checksum, then parses. *)

@@ -38,7 +38,11 @@ let n t = Oracle.n t.oracle
    issue the real (metered) query first and only then consult the fault
    stream — a timed-out query was still paid for. *)
 let vote t attempt =
-  let out = Retry.with_budget ~budget:t.retry_budget (fun ~attempt:_ -> attempt ()) in
+  let out =
+    Retry.with_budget ~budget:t.retry_budget
+      ~wait:(fun ~attempt -> 1 lsl attempt)
+      (fun ~attempt:_ -> attempt ())
+  in
   t.retries <- t.retries + (out.Retry.attempts - 1);
   t.backoff_units <- t.backoff_units + out.Retry.backoff_units;
   Metrics.inc ~by:(out.Retry.attempts - 1) m_retries;

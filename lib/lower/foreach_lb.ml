@@ -249,7 +249,10 @@ let run_trials ?domains rng p ~sketch_of ~trials ~bits_per_trial =
     done;
     (!correct, !in_failed, float_of_int sk.Sketch.size_bits)
   in
-  let per_trial = Dcs_util.Pool.parallel_init ?domains ~n:trials one_trial in
+  let per_trial =
+    Dcs_util.Pool.run_batched ?domains ~arena:(fun () -> ()) ~n:trials
+      (fun () -> one_trial)
+  in
   let correct = Array.fold_left (fun acc (c, _, _) -> acc + c) 0 per_trial in
   let in_failed = Array.fold_left (fun acc (_, f, _) -> acc + f) 0 per_trial in
   let sketch_bits = Array.fold_left (fun acc (_, _, b) -> acc +. b) 0.0 per_trial in

@@ -121,7 +121,10 @@ let run_trials ?domains rng p ~sketch_of ~trials ~bits_per_trial =
     done;
     !correct
   in
-  let per_trial = Dcs_util.Pool.parallel_init ?domains ~n:trials one_trial in
+  let per_trial =
+    Dcs_util.Pool.run_batched ?domains ~arena:(fun () -> ()) ~n:trials
+      (fun () -> one_trial)
+  in
   let correct = Array.fold_left ( + ) 0 per_trial in
   let total = trials * bits_per_trial in
   {

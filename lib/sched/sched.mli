@@ -5,7 +5,7 @@
     edges; {!run} executes the DAG level by level (declaration order is a
     topological order by construction — a stage can only depend on nodes
     that already exist), fanning each level's independent stages across
-    domains through {!Dcs_util.Pool.run_supervised_batched}, and memoizes
+    domains through {!Dcs_util.Pool.run_supervised}, and memoizes
     every stage output in a content-addressed {!Store}.
 
     A stage's cache key is a digest over (stage name, code version tag,

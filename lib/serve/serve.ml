@@ -539,8 +539,10 @@ let run t (reqs : Traffic.request array) =
                 let inj = Fault.split t.oracle r.Traffic.seq in
                 let jrng = Prng.split t.jitter_master r.Traffic.seq in
                 let o =
-                  Retry.with_jittered_backoff ~budget:cfg.retry_budget
-                    ~base:cfg.backoff_base ~cap:cfg.backoff_cap ~rng:jrng
+                  Retry.with_budget ~budget:cfg.retry_budget
+                    ~wait:
+                      (Retry.jittered_wait ~rng:jrng ~base:cfg.backoff_base
+                         ~cap:cfg.backoff_cap)
                     (fun ~attempt:_ -> if Fault.times_out inj then None else Some ())
                 in
                 let retries = o.Retry.attempts - 1 in
@@ -573,10 +575,9 @@ let run t (reqs : Traffic.request array) =
           Array.init (Array.length prepared) compute_one
         else
           fst
-            (Pool.run_supervised_batched ?domains:t.domains
-               ~arena:(fun () -> ())
-               ~rng:batch_rng ~n:(Array.length prepared)
-               (fun () ctx -> compute_one ctx.Pool.index))
+            (Pool.run_supervised ?domains:t.domains ~rng:batch_rng
+               ~indices:(Array.init (Array.length prepared) Fun.id)
+               (fun ctx -> compute_one ctx.Pool.index))
       in
       (* Completion times: batch dispatch overhead, then requests finish in
          batch order, each charging its own cost (compute + backoff +

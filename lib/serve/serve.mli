@@ -26,11 +26,11 @@
       at the arrival tick, then a bounded FIFO queue admits or sheds per
       the configured {!shed_policy};
     + {b service}: batches are pulled from the queue and executed on
-      {!Dcs_util.Pool.run_supervised_batched}. The sketch cache — keyed by
+      {!Dcs_util.Pool.run_supervised}. The sketch cache — keyed by
       {!Dcs_graph.Csr.fingerprint} — is consulted in the control plane; a
       miss charges the sketch (re)build cost. Oracle timeouts (seeded
       {!Dcs_util.Fault}) are retried with capped jittered exponential
-      backoff ({!Dcs_util.Retry.with_jittered_backoff}), backoff ticks
+      backoff ({!Dcs_util.Retry.jittered_wait}), backoff ticks
       charged to that request's completion time;
     + {b degradation}: a circuit breaker watches the fault rate and queue
       depth over sliding windows; when either trips, the server switches to
@@ -88,7 +88,7 @@ type config = {
   shed_policy : shed_policy;(** who is shed on overflow ([DCS_SHED_POLICY]) *)
   batch : int;              (** max requests pulled per service batch *)
   pool_threshold : int;     (** batches at least this big fan out on
-                                {!Dcs_util.Pool.run_supervised_batched};
+                                {!Dcs_util.Pool.run_supervised};
                                 smaller ones execute inline on the control
                                 domain (bit-identical either way — slots
                                 are pure functions of the trace seq) *)

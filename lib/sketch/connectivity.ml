@@ -56,9 +56,6 @@ type t = {
   cap : float;
   edges : (int * int * float) array;
   lambda : float array;
-  table : (int * int, float) Hashtbl.t Lazy.t;
-      (* endpoint lookup is off the samplers' hot path; built on first
-         [find]/[get] *)
   stats : stats;
 }
 
@@ -67,13 +64,6 @@ let cap t = t.cap
 let edges t = t.edges
 let lambda_at t i = t.lambda.(i)
 let stats t = t.stats
-let find t u v = Hashtbl.find_opt (Lazy.force t.table) (u, v)
-
-let get t u v =
-  match find t u v with
-  | Some l -> l
-  | None ->
-      invalid_arg (Printf.sprintf "Connectivity.get: (%d, %d) is not an edge" u v)
 
 let iter t f =
   Array.iteri (fun i (u, v, w) -> f u v w t.lambda.(i)) t.edges
@@ -203,14 +193,6 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     done
   end;
   let budgeted = Array.length unresolved - nflows in
-  let table =
-    lazy
-      (let tbl = Hashtbl.create (2 * max 1 m) in
-       Array.iteri
-         (fun i (u, v, _) -> Hashtbl.replace tbl (u, v) lambda.(i))
-         edges;
-       tbl)
-  in
   Metrics.inc ~by:m m_edges;
   Metrics.inc ~by:!by_weight m_by_weight;
   Metrics.inc ~by:!by_strength m_by_strength;
@@ -222,7 +204,6 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     cap;
     edges;
     lambda;
-    table;
     stats =
       {
         edges = m;

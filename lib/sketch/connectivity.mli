@@ -91,13 +91,6 @@ val edges : t -> (int * int * float) array
 val lambda_at : t -> int -> float
 (** Estimate for {!edges}[(i)]; in [(0, cap t]]. *)
 
-val find : t -> int -> int -> float option
-(** Estimate by endpoints ((u, v) directed; (min, max) undirected). *)
-
-val get : t -> int -> int -> float
-(** Like {!find} but raises [Invalid_argument] naming the pair for a
-    non-edge. *)
-
 val iter : t -> (int -> int -> float -> float -> unit) -> unit
 (** [iter t f] calls [f u v w lambda] in canonical edge order. *)
 

@@ -147,12 +147,11 @@ type sweep_report = {
   failures : Pool.failure list;
 }
 
-(* Shared persistence core: [runner ~indices] is the supervised engine the
-   remaining trials run on — the classic per-task supervisor for [sweep],
-   the chunked arena supervisor for [sweep_batched]. Both split task
-   streams by real index, so everything above the runner is identical. *)
-let sweep_core ?path ?(signature = "") ?(resume = true) ?(block = 16)
-    ?abort_after ~encode ~decode ~n ~runner () =
+(* The remaining trials run on Pool.run_supervised over the missing
+   indices; task streams are split by real index, so a resumed subset
+   reproduces a full run's values bit for bit. *)
+let sweep ?path ?(signature = "") ?(resume = true) ?(block = 16) ?abort_after
+    ?domains ?restart_budget ?deadline ~encode ~decode ~rng ~n task =
   if n < 0 then invalid_arg "Checkpoint.sweep: n must be nonnegative";
   if block < 1 then invalid_arg "Checkpoint.sweep: block must be positive";
   let results = Array.make n None in
@@ -204,7 +203,9 @@ let sweep_core ?path ?(signature = "") ?(resume = true) ?(block = 16)
   let crashes = ref 0 and hangs = ref 0 and restarts = ref 0 in
   let failures = ref [] in
   let run_indices indices =
-    let values, (rep : Pool.report) = runner ~indices in
+    let values, (rep : Pool.report) =
+      Pool.run_supervised ?domains ?restart_budget ?deadline ~rng ~indices task
+    in
     Array.iteri (fun pos i -> results.(i) <- Some values.(pos)) indices;
     computed := !computed + Array.length indices;
     crashes := !crashes + rep.Pool.crashes;
@@ -253,19 +254,3 @@ let sweep_core ?path ?(signature = "") ?(resume = true) ?(block = 16)
       restarts = !restarts;
       failures = !failures;
     } )
-
-let sweep ?path ?signature ?resume ?block ?abort_after ?domains ?restart_budget
-    ?deadline ~encode ~decode ~rng ~n task =
-  sweep_core ?path ?signature ?resume ?block ?abort_after ~encode ~decode ~n
-    ~runner:(fun ~indices ->
-      Pool.run_supervised_on ?domains ?restart_budget ?deadline ~rng ~indices
-        task)
-    ()
-
-let sweep_batched ?path ?signature ?resume ?block ?abort_after ?domains ?chunk
-    ?restart_budget ?deadline ~arena ~encode ~decode ~rng ~n task =
-  sweep_core ?path ?signature ?resume ?block ?abort_after ~encode ~decode ~n
-    ~runner:(fun ~indices ->
-      Pool.run_supervised_batched_on ?domains ?chunk ?restart_budget ?deadline
-        ~arena ~rng ~indices task)
-    ()

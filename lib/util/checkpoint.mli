@@ -13,7 +13,7 @@
     the snapshot are restored, the rest run supervised (crash isolation,
     deadlines, restart budget), and a fresh snapshot is written after
     every block. Because trial [i]'s stream is split from the master by
-    its {e index} (see {!Pool.run_supervised_on}), an interrupted sweep
+    its {e index} (see {!Pool.run_supervised}), an interrupted sweep
     resumed from its checkpoint produces output bit-identical to an
     uninterrupted run — at any [DCS_DOMAINS], with any interruption
     point, even after the checkpoint file itself is corrupted (the
@@ -74,14 +74,16 @@ val sweep :
   (Pool.ctx -> 'a) ->
   'a array * sweep_report
 (** [sweep ~encode ~decode ~rng ~n task] is
-    [Pool.run_supervised ~rng ~n task] plus persistence:
+    [Pool.run_supervised ~rng ~indices:(Array.init n Fun.id) task] plus
+    persistence:
 
     - with [path] set and [resume] (default [true]), a valid snapshot at
       [path] seeds the result array ([decode] returning [None] on any
       record discards the whole snapshot — generations never mix);
       with [~resume:false] an existing snapshot is deleted first;
-    - remaining trials run supervised in blocks of [block] (default 16),
-      a fresh snapshot written after each block;
+    - the missing trials run supervised, their indices passed to
+      {!Pool.run_supervised} in blocks of [block] (default 16), a fresh
+      snapshot written after each block;
     - [abort_after] simulates a kill: once that many trials have been
       newly computed (and checkpointed), {!Interrupted} is raised;
     - without [path], everything runs in one supervised batch and nothing
@@ -89,27 +91,3 @@ val sweep :
 
     [signature] (default [""]) must match the snapshot's. The result is
     bit-identical however the run was split across interruptions. *)
-
-val sweep_batched :
-  ?path:string ->
-  ?signature:string ->
-  ?resume:bool ->
-  ?block:int ->
-  ?abort_after:int ->
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
-  rng:Prng.t ->
-  n:int ->
-  ('arena -> Pool.ctx -> 'a) ->
-  'a array * sweep_report
-(** {!sweep} running its trials on {!Pool.run_supervised_batched_on}
-    (chunked scheduling, one scratch arena per worker domain) instead of
-    the per-task supervisor. Task streams are split by real index either
-    way, so for a task that treats its arena as scratch the results — and
-    the snapshots on disk — are byte-identical to {!sweep}'s at every
-    [domains] x [chunk] x interruption combination. *)

@@ -8,19 +8,21 @@
       per-task randomness with [Prng.split parent i]);
     - results land in slot [i] of the output array regardless of which
       domain ran the task;
-    - reductions (e.g. {!parallel_init_sum}) are performed sequentially in
-      index order after the join, so float non-associativity cannot leak
-      scheduling into the outcome.
+    - reductions are the caller's, performed sequentially in index order
+      after the join, so float non-associativity cannot leak scheduling
+      into the outcome.
+
+    There are two runners and both sit on one chunked executor: tasks are
+    cut into fixed-size chunks that worker domains pull from a shared
+    cursor. {!run_batched} is the plain one; {!run_supervised} adds
+    per-task crash isolation (a worker exception fails one task, not the
+    batch), cooperative per-task deadlines, and deterministic re-execution
+    of failed tasks on fresh domains from their own [Prng.split] streams,
+    bounded by a restart budget before a task is declared {!Poisoned}.
 
     The domain count defaults to the [DCS_DOMAINS] environment variable
     when set ([Domain.recommended_domain_count ()] otherwise); a count of 1
-    runs the plain sequential loop in the calling domain with no spawns.
-
-    {!run_supervised} adds a supervision layer for long sweeps: per-task
-    crash isolation (a worker exception fails one task, not the batch),
-    cooperative per-task deadlines, and deterministic re-execution of
-    failed tasks on fresh domains from their own [Prng.split] streams,
-    bounded by a restart budget before a task is declared {!Poisoned}.
+    runs every chunk in the calling domain with no spawns.
 
     The engine meters itself into {!Dcs_obs_core.Metrics} ([pool.tasks],
     [pool.crashes], [pool.restarts], ... — counts of logical events only,
@@ -39,30 +41,12 @@ val domain_count : unit -> int
     string — [Domain.recommended_domain_count ()]. *)
 
 exception Task_failed of { index : int; exn : exn; backtrace : string }
-(** How a worker exception reaches the caller of the {e unsupervised}
-    entry points: tagged with the index of the task that died and the
-    backtrace captured at the failure site (non-empty when
-    [Printexc.record_backtrace] is on), instead of a bare re-raise that
-    loses which trial was running. Nested pools preserve the innermost
-    tag, so the index always names the task closest to the failure. *)
-
-val parallel_init : ?domains:int -> n:int -> (int -> 'a) -> 'a array
-(** [parallel_init ~n f] is [Array.init n f] computed on [domains] domains
-    (default {!domain_count}), with indices 0..n-1 fanned out in [domains]
-    contiguous chunks over [Domain.spawn]. [f] must be safe to run
-    concurrently for distinct indices (no shared mutable state). If any
-    task raises, the first failure (lowest failing index) is re-raised in
-    the caller as {!Task_failed} after all domains have been joined — no
-    result is silently dropped and no domain is left running. *)
-
-val parallel_map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f xs] is [Array.map f xs] with the same fan-out,
-    ordering, and exception contract as {!parallel_init}. *)
-
-val parallel_init_sum : ?domains:int -> n:int -> (int -> float) -> float
-(** [parallel_init_sum ~n f] is the sum of [f i] for [i] in 0..n-1: the
-    [f i] are evaluated in parallel, then accumulated left-to-right in
-    index order, so the result is bit-identical for every domain count. *)
+(** How a worker exception reaches the caller of {!run_batched}: tagged
+    with the index of the task that died and the backtrace captured at
+    the failure site (non-empty when [Printexc.record_backtrace] is on),
+    instead of a bare re-raise that loses which trial was running. Nested
+    pools preserve the innermost tag, so the index always names the task
+    closest to the failure. *)
 
 (** {2 Chunked batches with per-domain arenas}
 
@@ -90,8 +74,8 @@ val run_batched :
     across all tasks that domain runs. [f] must treat the arena as
     uninitialized scratch (no task may depend on what a previous task left
     in it) and must be a pure function of [i] given that — then the result
-    is bit-identical for every [domains] and [chunk] setting, exactly like
-    {!parallel_init}.
+    is bit-identical for every [domains] and [chunk] setting. Callers with
+    no scratch to share pass [~arena:(fun () -> ())].
 
     [chunk] is the number of consecutive tasks dispatched per queue pull
     (default [ceil n/domains]); chunk {e contents} depend only on [chunk],
@@ -102,10 +86,10 @@ val run_batched :
 
 (** {2 Supervised execution}
 
-    [run_supervised ~rng ~n task] runs [n] tasks like {!parallel_init},
-    but each task attempt is individually isolated: an exception (or a
-    cooperative deadline overrun) fails {e that task's attempt} only, and
-    the task is re-executed in a later round on a freshly spawned domain,
+    [run_supervised ~rng ~indices task] runs one task per index like
+    {!run_batched}, but each task attempt is individually isolated: an
+    exception (or a cooperative deadline overrun) fails {e that task's
+    attempt} only, and the task is re-executed in a later round on a freshly spawned domain,
     up to [restart_budget] re-executions, after which it is {!Poisoned}.
 
     Determinism: task [i]'s {!ctx.rng} is [Prng.split (Prng.split rng i) 0]
@@ -181,64 +165,21 @@ val run_supervised :
   ?restart_budget:int ->
   ?deadline:float ->
   rng:Prng.t ->
-  n:int ->
-  (ctx -> 'a) ->
-  'a array * report
-(** Runs tasks 0..n-1 under supervision. [restart_budget] (default 2) is
-    the number of re-executions allowed per task beyond the first; a task
-    still failing past it raises {!Poisoned}. [deadline] (seconds, default
-    none) bounds each attempt cooperatively. With a crash-free, hang-free
-    task function the result array equals the one a plain
-    {!parallel_init} of [fun i -> task (ctx of i)] would produce, in one
-    round, with an empty failure list. *)
-
-val run_supervised_on :
-  ?domains:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  rng:Prng.t ->
   indices:int array ->
   (ctx -> 'a) ->
   'a array * report
-(** Like {!run_supervised} but over an explicit (distinct, nonnegative)
-    index set: slot [p] of the result corresponds to [indices.(p)], and
-    task streams are split by the {e real} index — so running a subset
-    (e.g. the trials a checkpoint is missing) yields bit-for-bit the
-    values a full run would have produced at those indices. This is the
-    primitive {!Checkpoint.sweep} resumes on. *)
+(** Runs one task per entry of [indices] (distinct, nonnegative; pass
+    [Array.init n Fun.id] for a full sweep) under supervision. Slot [p] of
+    the result corresponds to [indices.(p)], and task streams are split by
+    the {e real} index — so running a subset (e.g. the trials a checkpoint
+    is missing) yields bit-for-bit the values a full run would have
+    produced at those indices; {!Checkpoint.sweep} resumes on this.
 
-val run_supervised_batched :
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  rng:Prng.t ->
-  n:int ->
-  ('arena -> ctx -> 'a) ->
-  'a array * report
-(** {!run_supervised} with {!run_batched}'s chunked scheduling and
-    per-domain arenas: each round's still-pending attempts are pulled in
-    [chunk]-sized batches by worker domains that build one [arena] each
-    (fresh domains — and fresh arenas — per round, preserving crash
-    isolation). The per-task streams are {e exactly} {!run_supervised}'s
-    ([ctx.rng = split (split rng i) 0], [ctx.attempt_rng =
-    split (split rng i) (attempt+1)]), so for a task function that ignores
-    its arena, results, report and metric increments are bit-identical to
-    the unbatched supervisor at every [domains] x [chunk] combination. *)
-
-val run_supervised_batched_on :
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  rng:Prng.t ->
-  indices:int array ->
-  ('arena -> ctx -> 'a) ->
-  'a array * report
-(** {!run_supervised_batched} over an explicit index set, with
-    {!run_supervised_on}'s slot/stream contract: task streams are split by
-    the real index, so a resumed subset reproduces a full run's values bit
-    for bit. This is the primitive {!Checkpoint.sweep_batched} resumes
-    on. *)
+    Each round's still-pending attempts run on the chunked executor on
+    fresh domains, preserving crash isolation. [restart_budget] (default
+    2) is the number of re-executions allowed per task beyond the first; a
+    task still failing past it raises {!Poisoned}. [deadline] (seconds,
+    default none) bounds each attempt cooperatively. With a crash-free,
+    hang-free task function the result array equals
+    [Array.map (fun i -> task (ctx of i)) indices], in one round, with an
+    empty failure list. *)

@@ -4,7 +4,7 @@ type 'a outcome = {
   backoff_units : int;
 }
 
-let with_budget ~budget f =
+let with_budget ~budget ~wait f =
   if budget < 1 then invalid_arg "Retry.with_budget: budget must be >= 1";
   let rec go attempt backoff =
     match f ~attempt with
@@ -12,7 +12,7 @@ let with_budget ~budget f =
     | None ->
         if attempt + 1 >= budget then
           { value = None; attempts = attempt + 1; backoff_units = backoff }
-        else go (attempt + 1) (backoff + (1 lsl attempt))
+        else go (attempt + 1) (backoff + wait ~attempt)
   in
   go 0 0
 
@@ -28,20 +28,6 @@ let jittered_wait ~rng ~base ~cap ~attempt =
   if attempt < 0 then invalid_arg "Retry.jittered_wait: attempt must be >= 0";
   let hi = clamped_exponential ~base ~cap attempt in
   1 + Prng.int (Prng.split rng attempt) hi
-
-let with_jittered_backoff ~budget ?(base = 1) ?(cap = 64) ~rng f =
-  if budget < 1 then invalid_arg "Retry.with_jittered_backoff: budget must be >= 1";
-  if base < 1 then invalid_arg "Retry.with_jittered_backoff: base must be >= 1";
-  if cap < 1 then invalid_arg "Retry.with_jittered_backoff: cap must be >= 1";
-  let rec go attempt backoff =
-    match f ~attempt with
-    | Some _ as v -> { value = v; attempts = attempt + 1; backoff_units = backoff }
-    | None ->
-        if attempt + 1 >= budget then
-          { value = None; attempts = attempt + 1; backoff_units = backoff }
-        else go (attempt + 1) (backoff + jittered_wait ~rng ~base ~cap ~attempt)
-  in
-  go 0 0
 
 let majority ~k f =
   if k < 1 then invalid_arg "Retry.majority: k must be >= 1";

@@ -1,9 +1,9 @@
-(* Randomized stress battery for the chunked pool: [run_batched] and
-   [run_supervised_batched] must produce byte-identical outputs, reports
-   and Obs counter increments at every domains x chunk combination —
-   including under seed-driven crash and hang injection on the supervised
-   path — and the per-task PRNG stream assignment is pinned with golden
-   fingerprints so a scheduler change can never silently remap task
+(* Randomized stress battery for the chunked pool: [run_batched] must
+   produce byte-identical outputs and Obs counter increments at every
+   domains x chunk combination, [run_supervised] byte-identical outputs,
+   reports and counters at every domain count under seed-driven crash and
+   hang injection, and the per-task PRNG stream assignment is pinned with
+   golden fingerprints so a scheduler change can never silently remap task
    randomness. *)
 
 open Dcs
@@ -109,13 +109,13 @@ let prop_run_batched_random_chunks =
           out = reference && deltas = [ n ])
         domain_counts)
 
-(* --- supervised batched vs unbatched, with fault injection --- *)
+(* --- supervised runs across domain counts, with fault injection --- *)
 
 (* Deterministic crash/hang injection in the E17 style: decisions come
    from a Fault injector on the attempt stream, so attempt 0 of a doomed
    task fails and the retry (a different stream) almost surely passes —
    and the whole schedule is a pure function of (seed, index, attempt),
-   identical between the batched and unbatched supervisors. *)
+   identical at every domain count. *)
 let faulty_task ~drop ~timeout ctx =
   let inj = Fault.create (Fault.policy ~drop ~timeout ()) ctx.Pool.attempt_rng in
   if Fault.drops_message inj then failwith "injected crash";
@@ -141,74 +141,41 @@ let supervised_counters =
   ]
 
 (* A run either completes or deterministically poisons a task (5 doomed
-   attempts in a row); both outcomes must be byte-identical between the
-   batched and unbatched supervisors, so capture rather than propagate. *)
+   attempts in a row); both outcomes must be byte-identical at every
+   domain count, so capture rather than propagate. *)
 let capture f =
   match f () with
   | vals, rep -> Ok (vals, strip_backtraces rep)
   | exception Pool.Poisoned { index; attempts; last } ->
       Error (index, attempts, { last with Pool.backtrace = "" })
 
-let prop_supervised_batched_matches_unbatched =
+let prop_supervised_domain_invariant =
   QCheck.Test.make
-    ~name:"run_supervised_batched = run_supervised under crash/hang injection"
+    ~name:"run_supervised: DCS_DOMAINS-invariant under crash/hang injection"
     ~count:12
     QCheck.(int_bound 100000)
     (fun seed ->
       let rng = Prng.create seed in
       let n = 1 + Prng.int rng 40 in
       let drop = 0.2 and timeout = 0.1 in
-      let task ctx = faulty_task ~drop ~timeout ctx in
-      let reference, ref_deltas =
+      let run domains =
         counter_deltas supervised_counters (fun () ->
             capture (fun () ->
-                Pool.run_supervised ~domains:1 ~restart_budget:4
+                Pool.run_supervised ~domains ~restart_budget:4
                   ~rng:(Prng.create (seed + 7))
-                  ~n task))
+                  ~indices:(Array.init n Fun.id)
+                  (faulty_task ~drop ~timeout)))
       in
-      List.for_all
-        (fun d ->
-          let chunk = 1 + Prng.int rng 16 in
-          let outcome, deltas =
-            counter_deltas supervised_counters (fun () ->
-                capture (fun () ->
-                    Pool.run_supervised_batched ~domains:d ~chunk
-                      ~restart_budget:4
-                      ~arena:(fun () -> ())
-                      ~rng:(Prng.create (seed + 7))
-                      ~n
-                      (fun () ctx -> task ctx)))
-          in
-          outcome = reference && deltas = ref_deltas)
-        domain_counts)
-
-let test_supervised_batched_arena_reuse () =
-  (* An arena-using supervised task: results must still be the pure
-     per-index values because the task treats the arena as scratch. *)
-  let rng = Prng.create 99 in
-  let vals, rep =
-    Pool.run_supervised_batched ~domains:2 ~chunk:4
-      ~arena:(fun () -> Buffer.create 64)
-      ~rng ~n:23
-      (fun buf ctx ->
-        Buffer.clear buf;
-        Buffer.add_string buf (Int64.to_string (Prng.bits64 ctx.Pool.rng));
-        Buffer.contents buf)
-  in
-  let expect, _ =
-    Pool.run_supervised ~domains:1 ~rng:(Prng.create 99) ~n:23 (fun ctx ->
-        Int64.to_string (Prng.bits64 ctx.Pool.rng))
-  in
-  Alcotest.(check (array string)) "values" expect vals;
-  Alcotest.(check int) "one round" 1 rep.Pool.rounds
+      let reference = run 1 in
+      List.for_all (fun d -> run d = reference) domain_counts)
 
 (* --- golden PRNG stream assignment --- *)
 
 (* The contract the whole determinism story hangs on: task [i] of a
-   supervised run draws from split (split rng i) 0, and the batched
-   scheduler must assign exactly the same streams. Pinned as literal
-   fingerprints (seed 424242) so a Prng or scheduler change that remaps
-   streams fails loudly, not statistically. *)
+   supervised run draws from split (split rng i) 0, whatever the domain
+   count or the index subset. Pinned as literal fingerprints (seed 424242)
+   so a Prng or scheduler change that remaps streams fails loudly, not
+   statistically. *)
 let golden_seed = 424242
 
 let golden_task_fingerprints =
@@ -231,32 +198,31 @@ let test_golden_stream_assignment () =
     Array.init n (fun i -> Prng.fingerprint (Prng.split (Prng.split master i) 0))
   in
   Alcotest.(check (array int64)) "spec = golden" golden_task_fingerprints direct;
+  let supervised ~domains indices =
+    fst
+      (Pool.run_supervised ~domains ~rng:(Prng.create golden_seed) ~indices
+         (fun ctx -> Prng.fingerprint ctx.Pool.rng))
+  in
   List.iter
     (fun d ->
-      List.iter
-        (fun chunk ->
-          let label = Printf.sprintf "domains=%d chunk=%d" d chunk in
-          let batched, _ =
-            Pool.run_supervised_batched ~domains:d ~chunk
-              ~arena:(fun () -> ())
-              ~rng:(Prng.create golden_seed) ~n
-              (fun () ctx -> Prng.fingerprint ctx.Pool.rng)
-          in
-          Alcotest.(check (array int64))
-            (label ^ " supervised ctx.rng")
-            golden_task_fingerprints batched)
-        [ 1; 3; 8 ])
+      Alcotest.(check (array int64))
+        (Printf.sprintf "domains=%d supervised ctx.rng" d)
+        golden_task_fingerprints
+        (supervised ~domains:d (Array.init n Fun.id));
+      (* a resumed subset, out of order: streams follow the real index *)
+      let subset = [| 6; 1; 4 |] in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "domains=%d subset ctx.rng" d)
+        (Array.map (fun i -> golden_task_fingerprints.(i)) subset)
+        (supervised ~domains:d subset))
     domain_counts
 
-let test_golden_streams_match_unbatched_pool () =
+let test_golden_streams_run_batched () =
   (* run_batched leaves splitting to the caller (as every solver does:
      split master t); the schedule must not perturb it. *)
   let n = 16 in
   let master = Prng.create golden_seed in
-  let expect =
-    Pool.parallel_init ~domains:1 ~n (fun i ->
-        Prng.fingerprint (Prng.split master i))
-  in
+  let expect = Array.init n (fun i -> Prng.fingerprint (Prng.split master i)) in
   List.iter
     (fun d ->
       let got =
@@ -277,12 +243,10 @@ let suite =
       test_run_batched_arena_per_domain;
     Alcotest.test_case "run_batched: lowest-index failure" `Quick
       test_run_batched_failure_lowest_index;
-    Alcotest.test_case "supervised batched: arena reuse" `Quick
-      test_supervised_batched_arena_reuse;
     Alcotest.test_case "golden stream assignment" `Quick
       test_golden_stream_assignment;
     Alcotest.test_case "golden streams: run_batched" `Quick
-      test_golden_streams_match_unbatched_pool;
+      test_golden_streams_run_batched;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_run_batched_random_chunks; prop_supervised_batched_matches_unbatched ]
+      [ prop_run_batched_random_chunks; prop_supervised_domain_invariant ]

@@ -10,13 +10,13 @@ let test_crc32_check_value () =
 
 let test_frame_roundtrip () =
   let payload = "hello, lossy world\nwith a second line" in
-  match Serialize.unframe (Serialize.frame payload) with
+  match Checksum.unframe (Checksum.frame payload) with
   | Ok p -> Alcotest.(check string) "payload back" payload p
   | Error e -> Alcotest.failf "unframe rejected a clean frame: %s" e
 
 let test_frame_rejects_garbage () =
   let bad s =
-    match Serialize.unframe s with
+    match Checksum.unframe s with
     | Ok _ -> Alcotest.failf "accepted %S" s
     | Error _ -> ()
   in
@@ -89,8 +89,11 @@ let test_fault_intermediate_rate_counts () =
 
 (* --- Retry --- *)
 
+(* The textbook schedule: failed attempt [a] waits 2^a units. *)
+let doubling ~attempt = 1 lsl attempt
+
 let test_retry_first_try () =
-  let out = Retry.with_budget ~budget:5 (fun ~attempt:_ -> Some 42) in
+  let out = Retry.with_budget ~budget:5 ~wait:doubling (fun ~attempt:_ -> Some 42) in
   Alcotest.(check (option int)) "value" (Some 42) out.Retry.value;
   Alcotest.(check int) "one attempt" 1 out.Retry.attempts;
   Alcotest.(check int) "no backoff" 0 out.Retry.backoff_units
@@ -99,7 +102,7 @@ let test_retry_backoff_arithmetic () =
   (* Succeeds on the 4th call (attempt 3): failed attempts 0,1,2 were each
      retried, so backoff = 2^0 + 2^1 + 2^2 = 7. *)
   let out =
-    Retry.with_budget ~budget:8 (fun ~attempt ->
+    Retry.with_budget ~budget:8 ~wait:doubling (fun ~attempt ->
         if attempt >= 3 then Some attempt else None)
   in
   Alcotest.(check (option int)) "value" (Some 3) out.Retry.value;
@@ -109,7 +112,7 @@ let test_retry_backoff_arithmetic () =
 let test_retry_exhausts_budget () =
   let calls = ref 0 in
   let out =
-    Retry.with_budget ~budget:4 (fun ~attempt:_ ->
+    Retry.with_budget ~budget:4 ~wait:doubling (fun ~attempt:_ ->
         incr calls;
         None)
   in
@@ -120,7 +123,7 @@ let test_retry_exhausts_budget () =
   Alcotest.(check int) "backoff" 7 out.Retry.backoff_units;
   Alcotest.check_raises "budget >= 1"
     (Invalid_argument "Retry.with_budget: budget must be >= 1") (fun () ->
-      ignore (Retry.with_budget ~budget:0 (fun ~attempt:_ -> Some ())))
+      ignore (Retry.with_budget ~budget:0 ~wait:doubling (fun ~attempt:_ -> Some ())))
 
 let test_jittered_wait_bounds () =
   let rng = Prng.create 11 in
@@ -141,11 +144,18 @@ let test_jittered_wait_bounds () =
 let test_jittered_backoff_schedule () =
   let rng = Prng.create 12 in
   (* Success on the first call: no waits at all. *)
-  let out = Retry.with_jittered_backoff ~budget:5 ~rng (fun ~attempt:_ -> Some 1) in
+  let jittered ~base ~cap = Retry.jittered_wait ~rng ~base ~cap in
+  let out =
+    Retry.with_budget ~budget:5 ~wait:(jittered ~base:1 ~cap:64) (fun ~attempt:_ ->
+        Some 1)
+  in
   Alcotest.(check int) "no backoff" 0 out.Retry.backoff_units;
   (* All failures: exactly the sum of the per-attempt jittered waits for
      the retried attempts (the final failure is not retried). *)
-  let out = Retry.with_jittered_backoff ~budget:4 ~base:2 ~cap:8 ~rng (fun ~attempt:_ -> None) in
+  let out =
+    Retry.with_budget ~budget:4 ~wait:(jittered ~base:2 ~cap:8) (fun ~attempt:_ ->
+        None)
+  in
   let expected = ref 0 in
   for a = 0 to 2 do
     expected := !expected + Retry.jittered_wait ~rng ~base:2 ~cap:8 ~attempt:a
@@ -154,10 +164,10 @@ let test_jittered_backoff_schedule () =
   Alcotest.(check int) "attempts = budget" 4 out.Retry.attempts;
   Alcotest.(check int) "backoff = replayed waits" !expected out.Retry.backoff_units;
   Alcotest.check_raises "budget >= 1"
-    (Invalid_argument "Retry.with_jittered_backoff: budget must be >= 1")
-    (fun () ->
+    (Invalid_argument "Retry.with_budget: budget must be >= 1") (fun () ->
       ignore
-        (Retry.with_jittered_backoff ~budget:0 ~rng (fun ~attempt:_ -> Some ())))
+        (Retry.with_budget ~budget:0 ~wait:(jittered ~base:1 ~cap:64)
+           (fun ~attempt:_ -> Some ())))
 
 let test_majority_recovers_truth () =
   (* 2 honest votes out of 3 beat one lie. *)
@@ -363,7 +373,7 @@ let prop_retry_within_budget =
     (fun (budget, first_success) ->
       let calls = ref 0 in
       let out =
-        Retry.with_budget ~budget (fun ~attempt ->
+        Retry.with_budget ~budget ~wait:doubling (fun ~attempt ->
             incr calls;
             if attempt >= first_success then Some attempt else None)
       in
@@ -382,7 +392,8 @@ let prop_jittered_backoff_within_budgets =
       let rng = Prng.create (budget + (31 * first_success) + (977 * cap)) in
       let calls = ref 0 in
       let out =
-        Retry.with_jittered_backoff ~budget ~base ~cap ~rng (fun ~attempt ->
+        Retry.with_budget ~budget ~wait:(Retry.jittered_wait ~rng ~base ~cap)
+          (fun ~attempt ->
             incr calls;
             if attempt >= first_success then Some attempt else None)
       in

@@ -361,8 +361,11 @@ let test_faulty_oracle_majority_vote_domain_independent () =
          s.Faulty_oracle.retries, s.Faulty_oracle.votes_cast)
     | exception Faulty_oracle.Exhausted _ -> (-1.0, 0, 0, 0)
   in
-  let seq = Pool.parallel_init ~domains:1 ~n:6 trial in
-  let par = Pool.parallel_init ~domains:4 ~n:6 trial in
+  let run domains =
+    Pool.run_batched ~domains ~arena:(fun () -> ()) ~n:6 (fun () -> trial)
+  in
+  let seq = run 1 in
+  let par = run 4 in
   Alcotest.(check bool) "1 domain = 4 domains" true (seq = par);
   Alcotest.(check bool) "votes were cast" true
     (Array.exists (fun (_, _, _, v) -> v > 0) seq)

@@ -72,7 +72,7 @@ let test_no_lost_increments_parallel () =
       let before = M.counter_value c in
       let n = 211 in
       ignore
-        (Pool.parallel_init ~domains:d ~n (fun i ->
+        (Pool.run_batched ~domains:d ~arena:(fun () -> ()) ~n (fun () i ->
              M.inc c;
              M.inc ~by:(i mod 3) c;
              i));
@@ -93,7 +93,9 @@ let prop_no_lost_increments =
     (fun (domains, n) ->
       let c = M.counter "obs.test.qcheck" in
       let before = M.counter_value c in
-      ignore (Pool.parallel_init ~domains ~n (fun i -> M.inc ~by:(i + 1) c));
+      ignore
+        (Pool.run_batched ~domains ~arena:(fun () -> ()) ~n (fun () i ->
+             M.inc ~by:(i + 1) c));
       M.counter_value c - before = n * (n + 1) / 2)
 
 (* --- supervised engine: a crashed-and-retried task counts exactly once --- *)
@@ -107,7 +109,8 @@ let test_supervised_exactly_once () =
       let hist_before = (M.histogram_value h).M.count in
       let n = 23 in
       let _, rep =
-        Pool.run_supervised ~domains:d ~rng:(Prng.create 601) ~n (fun ctx ->
+        Pool.run_supervised ~domains:d ~rng:(Prng.create 601)
+          ~indices:(Array.init n Fun.id) (fun ctx ->
             M.inc c;
             M.observe h ctx.Pool.index;
             (* crash after bumping: the bump must not survive the attempt *)
@@ -178,7 +181,7 @@ let test_snapshot_identical_across_domains () =
     let before_c = M.counter_value c in
     let before_h = M.histogram_value h in
     ignore
-      (Pool.parallel_init ~domains:d ~n:97 (fun i ->
+      (Pool.run_batched ~domains:d ~arena:(fun () -> ()) ~n:97 (fun () i ->
            M.inc ~by:(i land 7) c;
            M.observe h i));
     let after_h = M.histogram_value h in

@@ -7,9 +7,13 @@ open Dcs
 
 let domain_counts = [ 1; 2; 4 ]
 
+(* [Array.init n f] on the unsupervised runner, with no arena. *)
+let run ~domains ~n f =
+  Pool.run_batched ~domains ~arena:(fun () -> ()) ~n (fun () i -> f i)
+
 (* --- (a) parallel results equal sequential results --- *)
 
-let test_parallel_init_matches_sequential () =
+let test_run_batched_matches_sequential () =
   let f i = (i * 31) + (i mod 7) in
   let expected = Array.init 103 f in
   List.iter
@@ -17,42 +21,31 @@ let test_parallel_init_matches_sequential () =
       Alcotest.(check (array int))
         (Printf.sprintf "domains=%d" d)
         expected
-        (Pool.parallel_init ~domains:d ~n:103 f))
+        (run ~domains:d ~n:103 f))
     domain_counts
 
-let test_parallel_init_edge_sizes () =
+let test_edge_sizes () =
   List.iter
     (fun d ->
       Alcotest.(check (array int))
         (Printf.sprintf "n=0, domains=%d" d)
         [||]
-        (Pool.parallel_init ~domains:d ~n:0 (fun i -> i));
+        (run ~domains:d ~n:0 (fun i -> i));
       Alcotest.(check (array int))
         (Printf.sprintf "n=1, domains=%d" d)
         [| 0 |]
-        (Pool.parallel_init ~domains:d ~n:1 (fun i -> i));
+        (run ~domains:d ~n:1 (fun i -> i));
       (* more domains than tasks *)
       Alcotest.(check (array int))
         (Printf.sprintf "n=3, domains=%d" d)
         [| 0; 2; 4 |]
-        (Pool.parallel_init ~domains:d ~n:3 (fun i -> 2 * i)))
+        (run ~domains:d ~n:3 (fun i -> 2 * i)))
     domain_counts
 
-let test_parallel_map_matches_sequential () =
-  let xs = Array.init 57 (fun i -> float_of_int i /. 3.0) in
-  let f x = (x *. x) -. 1.5 in
-  let expected = Array.map f xs in
-  List.iter
-    (fun d ->
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "domains=%d" d)
-        expected
-        (Pool.parallel_map ~domains:d f xs))
-    domain_counts
-
-let test_parallel_init_sum_bit_identical () =
+let test_sum_bit_identical () =
   (* Terms of wildly different magnitudes: any reassociation of the float
-     sum would show up as an inequality under exact comparison. *)
+     sum would show up as an inequality under exact comparison. The terms
+     are computed in parallel and summed in index order after the join. *)
   let f i = Float.ldexp 1.0 ((i mod 40) - 20) +. (float_of_int i *. 1e-7) in
   let seq = ref 0.0 in
   for i = 0 to 999 do
@@ -60,7 +53,7 @@ let test_parallel_init_sum_bit_identical () =
   done;
   List.iter
     (fun d ->
-      let par = Pool.parallel_init_sum ~domains:d ~n:1000 f in
+      let par = Array.fold_left ( +. ) 0.0 (run ~domains:d ~n:1000 f) in
       Alcotest.(check bool)
         (Printf.sprintf "exactly equal at domains=%d" d)
         true
@@ -201,10 +194,9 @@ let test_exception_propagates () =
      index and the original exception — not a bare re-raise. *)
   List.iter
     (fun d ->
-      match
-        Pool.parallel_init ~domains:d ~n:16 (fun i ->
-            if i = 11 then failwith "boom" else i)
-      with
+      (match
+         run ~domains:d ~n:16 (fun i -> if i = 11 then failwith "boom" else i)
+       with
       | _ -> Alcotest.failf "no exception at domains=%d" d
       | exception Pool.Task_failed { index; exn; _ } ->
           Alcotest.(check int)
@@ -213,17 +205,34 @@ let test_exception_propagates () =
           Alcotest.(check bool)
             (Printf.sprintf "original exn preserved at domains=%d" d)
             true
-            (exn = Failure "boom"))
+            (exn = Failure "boom"));
+      (* Nested pools keep the innermost tag: outer task 2 dies because its
+         inner task 5 did, and the caller sees index 5. *)
+      match
+        run ~domains:d ~n:4 (fun i ->
+            Array.fold_left ( + ) 0
+              (run ~domains:d ~n:8 (fun j ->
+                   if i = 2 && j = 5 then failwith "inner" else j)))
+      with
+      | _ -> Alcotest.failf "no nested exception at domains=%d" d
+      | exception Pool.Task_failed { index; exn; _ } ->
+          Alcotest.(check int)
+            (Printf.sprintf "innermost index at domains=%d" d)
+            5 index;
+          Alcotest.(check bool)
+            (Printf.sprintf "inner exn preserved at domains=%d" d)
+            true
+            (exn = Failure "inner"))
     domain_counts
 
 let test_exception_reports_lowest_index () =
   (* Several failing tasks: the reported one is the lowest index, at every
-     domain count — chunks are ascending and the caller prefers the
-     earliest chunk's failure, so the abort point is deterministic. *)
+     domain count — failures are merged after the join, whichever domain
+     ran which chunk, so the abort point is deterministic. *)
   List.iter
     (fun d ->
       match
-        Pool.parallel_init ~domains:d ~n:32 (fun i ->
+        run ~domains:d ~n:32 (fun i ->
             if i mod 7 = 5 then failwith "multi" else i)
       with
       | _ -> Alcotest.failf "no exception at domains=%d" d
@@ -234,26 +243,32 @@ let test_exception_reports_lowest_index () =
     domain_counts
 
 let test_exception_joins_all_domains () =
-  (* A failure in the calling domain's chunk must still join the spawned
-     domains: every task outside the failing one has run (its side effect
-     is visible) by the time the exception reaches the caller. With 16
-     tasks on 4 domains the calling domain owns tasks 0-3, so failing at
-     task 3 leaves the other 15 tasks complete. *)
-  let hit = Array.make 16 0 in
-  (try
-     ignore
-       (Pool.parallel_init ~domains:4 ~n:16 (fun i ->
-            if i = 3 then failwith "early";
-            hit.(i) <- 1;
-            i))
-   with Pool.Task_failed _ -> ());
-  let finished = Array.fold_left ( + ) 0 hit in
-  Alcotest.(check int) "all other tasks completed" 15 finished
+  (* A failure in the first chunk must not cut the run short: every task
+     outside the failing one has run (its side effect is visible) by the
+     time the exception reaches the caller, at every domain count. *)
+  List.iter
+    (fun d ->
+      let hit = Array.make 16 0 in
+      (try
+         ignore
+           (run ~domains:d ~n:16 (fun i ->
+                if i = 3 then failwith "early";
+                hit.(i) <- 1;
+                i))
+       with Pool.Task_failed _ -> ());
+      let finished = Array.fold_left ( + ) 0 hit in
+      Alcotest.(check int)
+        (Printf.sprintf "all other tasks completed at domains=%d" d)
+        15 finished)
+    domain_counts
 
 let test_domain_count_positive () =
   Alcotest.(check bool) "at least one domain" true (Pool.domain_count () >= 1)
 
 (* --- (d) supervised runs: crash/hang recovery, determinism, poisoning --- *)
+
+(* The full index set 0..n-1. *)
+let all n = Array.init n Fun.id
 
 (* The reference a supervised run must reproduce bit-for-bit: trial i's
    value is a pure function of the task stream split(split(master, i), 0),
@@ -274,7 +289,8 @@ let test_supervised_clean_matches_reference () =
   List.iter
     (fun d ->
       let vals, rep =
-        Pool.run_supervised ~domains:d ~rng:(Prng.create 301) ~n trial_value
+        Pool.run_supervised ~domains:d ~rng:(Prng.create 301) ~indices:(all n)
+          trial_value
       in
       Alcotest.(check bool)
         (Printf.sprintf "values match streams at domains=%d" d)
@@ -294,7 +310,8 @@ let test_supervised_crash_recovery_bit_identical () =
   List.iter
     (fun d ->
       let vals, rep =
-        Pool.run_supervised ~domains:d ~rng:(Prng.create 302) ~n (fun ctx ->
+        Pool.run_supervised ~domains:d ~rng:(Prng.create 302) ~indices:(all n)
+          (fun ctx ->
             if ctx.Pool.attempt = 0 && ctx.Pool.index mod 5 = 4 then
               failwith "transient";
             trial_value ctx)
@@ -330,7 +347,8 @@ let test_supervised_repeated_crashes_within_budget () =
   let n = 6 in
   let expected = reference_values ~seed:303 n in
   let vals, rep =
-    Pool.run_supervised ~restart_budget:3 ~rng:(Prng.create 303) ~n (fun ctx ->
+    Pool.run_supervised ~restart_budget:3 ~rng:(Prng.create 303)
+      ~indices:(all n) (fun ctx ->
         if ctx.Pool.index = 2 && ctx.Pool.attempt < 3 then failwith "stubborn";
         trial_value ctx)
   in
@@ -345,7 +363,8 @@ let test_supervised_hang_recovery () =
   let n = 8 in
   let expected = reference_values ~seed:304 n in
   let vals, rep =
-    Pool.run_supervised ~deadline:0.01 ~rng:(Prng.create 304) ~n (fun ctx ->
+    Pool.run_supervised ~deadline:0.01 ~rng:(Prng.create 304) ~indices:(all n)
+      (fun ctx ->
         if ctx.Pool.index = 3 && ctx.Pool.attempt = 0 then
           while true do
             Pool.guard ctx
@@ -365,7 +384,8 @@ let test_supervised_poisoned () =
   (* A deterministic failure exhausts the restart budget and surfaces as
      Poisoned with the right index and attempt count. *)
   match
-    Pool.run_supervised ~restart_budget:2 ~rng:(Prng.create 305) ~n:9
+    Pool.run_supervised ~restart_budget:2 ~rng:(Prng.create 305)
+      ~indices:(all 9)
       (fun ctx ->
         if ctx.Pool.index = 7 then failwith "always";
         trial_value ctx)
@@ -383,7 +403,7 @@ let test_supervised_attempt_stream_fresh_per_attempt () =
      restart. *)
   let seen = Array.make 2 None in
   let _, _ =
-    Pool.run_supervised ~rng:(Prng.create 306) ~n:1 (fun ctx ->
+    Pool.run_supervised ~rng:(Prng.create 306) ~indices:(all 1) (fun ctx ->
         let task_draw = Prng.bits64 ctx.Pool.rng in
         let attempt_draw = Prng.bits64 ctx.Pool.attempt_rng in
         seen.(ctx.Pool.attempt) <- Some (task_draw, attempt_draw);
@@ -402,9 +422,7 @@ let test_supervised_indices_subset_matches_full_run () =
   let n = 15 in
   let expected = reference_values ~seed:307 n in
   let indices = [| 2; 3; 7; 11; 14 |] in
-  let vals, _ =
-    Pool.run_supervised_on ~rng:(Prng.create 307) ~indices trial_value
-  in
+  let vals, _ = Pool.run_supervised ~rng:(Prng.create 307) ~indices trial_value in
   Array.iteri
     (fun slot idx ->
       Alcotest.(check bool)
@@ -426,13 +444,11 @@ let test_fingerprint_pure_and_distinguishing () =
 
 let suite =
   [
-    Alcotest.test_case "pool: parallel_init = sequential" `Quick
-      test_parallel_init_matches_sequential;
-    Alcotest.test_case "pool: edge sizes" `Quick test_parallel_init_edge_sizes;
-    Alcotest.test_case "pool: parallel_map = sequential" `Quick
-      test_parallel_map_matches_sequential;
+    Alcotest.test_case "pool: run_batched = sequential" `Quick
+      test_run_batched_matches_sequential;
+    Alcotest.test_case "pool: edge sizes" `Quick test_edge_sizes;
     Alcotest.test_case "pool: sum bit-identical across domains" `Quick
-      test_parallel_init_sum_bit_identical;
+      test_sum_bit_identical;
     Alcotest.test_case "pool: foreach_lb trials domain-invariant" `Quick
       test_foreach_trials_domain_invariant;
     Alcotest.test_case "pool: forall_lb trials domain-invariant" `Quick

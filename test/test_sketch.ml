@@ -252,13 +252,6 @@ let test_connectivity_exact_when_uncapped () =
         (Dinic.maxflow net ~s:u ~t:v)
         lam)
 
-let test_connectivity_get_not_found () =
-  let g = Ugraph.of_edges 3 [ (0, 1, 2.0); (1, 2, 1.0) ] in
-  let conn = Connectivity.estimate_ugraph ~cap:4.0 g in
-  Alcotest.check_raises "non-edge"
-    (Invalid_argument "Connectivity.get: (0, 2) is not an edge") (fun () ->
-      ignore (Connectivity.get conn 0 2))
-
 (* --- Binomial weight resampling --- *)
 
 let test_binomial_keep_identity () =
@@ -565,7 +558,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_strength_below_connectivity;
     QCheck_alcotest.to_alcotest prop_connectivity_estimates_sound;
     Alcotest.test_case "connectivity: exact when uncapped" `Quick test_connectivity_exact_when_uncapped;
-    Alcotest.test_case "connectivity: get not found" `Quick test_connectivity_get_not_found;
     Alcotest.test_case "binomial keep: identity" `Quick test_binomial_keep_identity;
     Alcotest.test_case "binomial keep: expectation" `Quick test_binomial_keep_expectation;
     Alcotest.test_case "binomial keep: determinism" `Quick test_binomial_keep_deterministic;
