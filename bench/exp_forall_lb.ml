@@ -48,8 +48,9 @@ let lemma_stage pl ~beta ~d =
           sum_low := !sum_low +. (float_of_int low /. float_of_int k);
           (* Q from the argmax decoder on the exact graph. *)
           let q =
-            F.topk_q_set p ~sketch_graph:inst.F.graph inst.F.target
-              ~t:inst.F.gh.Gap_hamming.t
+            F.topk_q_set p
+              ~sketch_graph:(Csr.of_digraph inst.F.graph)
+              inst.F.target ~t:inst.F.gh.Gap_hamming.t
           in
           (* count how many of L_high landed in Q *)
           let a = inst.F.target in
@@ -124,14 +125,19 @@ let decode_stage pl ~beta ~d kind =
           if F.decode_single_query p ~query:sk.Sketch.query inst.F.target ~t
              = want
           then incr single;
-          if enum_ok then
-            if F.decode_enumerate ?graph:sk.Sketch.graph ~scratch p
-                 ~query:sk.Sketch.query inst.F.target ~t
-               = want
-            then incr enum;
+          if enum_ok then begin
+            let d =
+              match sk.Sketch.graph with
+              | Some csr ->
+                  F.decode_enumerate_frozen ~scratch p csr inst.F.target ~t
+              | None ->
+                  F.decode_enumerate p ~query:sk.Sketch.query inst.F.target ~t
+            in
+            if d = want then incr enum
+          end;
           match sk.Sketch.graph with
-          | Some g ->
-              if F.decode_topk p ~sketch_graph:g inst.F.target ~t = want then
+          | Some csr ->
+              if F.decode_topk p ~sketch_graph:csr inst.F.target ~t = want then
                 incr topk
           | None -> graph_based := false)
         arr;

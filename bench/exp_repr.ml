@@ -73,10 +73,9 @@ let decode_both p insts =
   let decode i ~frozen =
     let inst = insts.(i) in
     let g = inst.F.graph in
-    let graph = if frozen then Some g else None in
-    F.decode_enumerate ?graph p
-      ~query:(fun s -> Cut.value g s)
-      inst.F.target ~t:inst.F.gh.Gap_hamming.t
+    let t = inst.F.gh.Gap_hamming.t in
+    if frozen then F.decode_enumerate_frozen p (Csr.of_digraph g) inst.F.target ~t
+    else F.decode_enumerate p ~query:(fun s -> Cut.value g s) inst.F.target ~t
   in
   let ref_dec = Array.make n F.Delta_high in
   let csr_dec = Array.make n F.Delta_high in
@@ -161,10 +160,9 @@ let enumerate_stage pl ~floors =
         time (fun () ->
             Array.iter
               (fun inst ->
-                let g = inst.F.graph in
                 let d =
-                  F.decode_enumerate ~graph:g p24
-                    ~query:(fun s -> Cut.value g s)
+                  F.decode_enumerate_frozen p24
+                    (Csr.of_digraph inst.F.graph)
                     inst.F.target ~t:inst.F.gh.Gap_hamming.t
                 in
                 if d = F.correct_decision inst then incr correct)
@@ -193,10 +191,9 @@ let counters_stage pl =
       let pb = probe "csr.builds" in
       let pf = probe "csr.cut_full" in
       let pd = probe "csr.cut_delta" in
-      let g = inst.F.graph in
       let _ =
-        F.decode_enumerate ~graph:g p
-          ~query:(fun s -> Cut.value g s)
+        F.decode_enumerate_frozen p
+          (Csr.of_digraph inst.F.graph)
           inst.F.target ~t:inst.F.gh.Gap_hamming.t
       in
       (!flips, delta pb, delta pf, delta pd))

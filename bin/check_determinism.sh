@@ -89,6 +89,15 @@ domain_counts="1 2 4"
 echo "== building (bench, tests, @batched, @serve, @stream, @sched, @sparsolve suites) =="
 dune build bench/main.exe test/main.exe @batched @serve @stream @sched @sparsolve
 
+# perfbench/ (the benchmark) calls the library's public signatures, so a
+# signature change that breaks it must fail here, by name.
+echo "== building the benchmark (perfbench/main.exe, @perfbench/selftest) =="
+if ! dune build perfbench/main.exe @perfbench/selftest; then
+    echo "FAIL: perfbench/ does not build against the library," \
+         "or its self-test fails" >&2
+    exit 1
+fi
+
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 

@@ -84,6 +84,8 @@ val cut_delta : t -> bool array -> int -> float
     operations of {!cut_weight} / {!cut_delta}, in the same order, so
     their results are byte-identical to the per-call paths — batching only
     strips per-call dispatch, closures and metering from the inner loops.
+    The weights live in plain [float array]s, which OCaml stores as flat
+    unboxed doubles, so the inner loops read them without boxing.
     These are the kernels the batched trial pool
     ({!Dcs_util.Pool.run_batched}) feeds with per-domain scratch arrays. *)
 
@@ -172,14 +174,3 @@ val compact : delta -> t
     apply adjustments in ascending arc order, re-freeze). Raises
     [Invalid_argument] if any arc merges to a negative weight — the
     overlay was promising deletions the base never had. *)
-
-val with_bigarray_weights : t -> t
-(** A view of the same graph whose batched kernels read arc weights from
-    [Bigarray.Array1] (float64, C layout) mirrors instead of the boxed
-    float arrays — same doubles in the same order, so every result is
-    bit-identical; the mirrors are plain flat unboxed buffers that the
-    runtime never scans or moves. Build it once before a fan-out and share
-    the result: the mirror is attached eagerly, so the value is as
-    read-only (and domain-safe) as the original. Idempotent. *)
-
-val has_bigarray_weights : t -> bool

@@ -27,13 +27,10 @@ let m g = g.edge_count
 let check_vertex g u name =
   if u < 0 || u >= g.nv then invalid_arg (Printf.sprintf "Digraph.%s: vertex %d" name u)
 
-let unsafe_weight g u v =
-  Option.value (Hashtbl.find_opt g.out_adj.(u) v) ~default:0.0
-
 let weight g u v =
   check_vertex g u "weight";
   check_vertex g v "weight";
-  unsafe_weight g u v
+  Option.value (Hashtbl.find_opt g.out_adj.(u) v) ~default:0.0
 
 let mem_edge g u v = weight g u v > 0.0
 
@@ -60,16 +57,9 @@ let add_edge g u v w =
   if w < 0.0 then invalid_arg "Digraph.add_edge: negative weight";
   if w > 0.0 then set_edge g u v (weight g u v +. w)
 
-let unsafe_iter_out g u f = Hashtbl.iter f g.out_adj.(u)
-let unsafe_iter_in g v f = Hashtbl.iter f g.in_adj.(v)
-
 let iter_out g u f =
   check_vertex g u "iter_out";
-  unsafe_iter_out g u f
-
-let iter_in g v f =
-  check_vertex g v "iter_in";
-  unsafe_iter_in g v f
+  Hashtbl.iter f g.out_adj.(u)
 
 let fold_out g u f init =
   check_vertex g u "fold_out";
@@ -98,8 +88,6 @@ let fold_edges f g init =
   let acc = ref init in
   iter_edges g (fun u v w -> acc := f u v w !acc);
   !acc
-
-let edges g = fold_edges (fun u v w acc -> (u, v, w) :: acc) g []
 
 let total_weight g = fold_edges (fun _ _ w acc -> acc +. w) g 0.0
 
@@ -152,8 +140,3 @@ let equal a b =
   n a = n b
   && m a = m b
   && fold_edges (fun u v w acc -> acc && weight b u v = w) a true
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph n=%d m=%d@," (n g) (m g);
-  iter_edges g (fun u v w -> Format.fprintf ppf "  %d -> %d  %g@," u v w);
-  Format.fprintf ppf "@]"

@@ -32,22 +32,6 @@ val mem_edge : t -> int -> int -> bool
 val iter_out : t -> int -> (int -> float -> unit) -> unit
 (** Iterate over out-neighbors of a vertex with edge weights. *)
 
-val iter_in : t -> int -> (int -> float -> unit) -> unit
-
-val unsafe_weight : t -> int -> int -> float
-(** {!weight} without the two bounds checks. For hot loops whose vertex ids
-    are validated once at entry (decoders probing k·(1/ε²) pairs per
-    decode); out-of-range ids raise [Invalid_argument] from the array
-    access at best. *)
-
-val unsafe_iter_out : t -> int -> (int -> float -> unit) -> unit
-(** {!iter_out} without the bounds check. *)
-
-val unsafe_iter_in : t -> int -> (int -> float -> unit) -> unit
-(** {!iter_in} without the bounds check. *)
-
-val fold_out : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
-
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
@@ -60,9 +44,6 @@ val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Iterate every directed edge once. *)
 
 val fold_edges : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
-
-val edges : t -> (int * int * float) list
-(** All edges; order unspecified. *)
 
 val total_weight : t -> float
 
@@ -89,5 +70,3 @@ val symmetrize : t -> t
 
 val equal : t -> t -> bool
 (** Same vertex count and identical edge weights (exact float equality). *)
-
-val pp : Format.formatter -> t -> unit

@@ -112,8 +112,3 @@ let equal a b =
   n a = n b
   && m a = m b
   && fold_edges (fun u v w acc -> acc && weight b u v = w) a true
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>ugraph n=%d m=%d@," (n g) (m g);
-  iter_edges g (fun u v w -> Format.fprintf ppf "  %d -- %d  %g@," u v w);
-  Format.fprintf ppf "@]"

@@ -50,4 +50,3 @@ val neighbor_array : t -> int -> int array
     query oracle to expose a stable "i-th neighbor" numbering. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

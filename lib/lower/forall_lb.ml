@@ -88,6 +88,10 @@ type decision = Delta_high | Delta_low
 let correct_decision inst =
   if inst.gh.Gap_hamming.high then Delta_high else Delta_low
 
+let check_t p fn t =
+  if Bitstring.length t <> p.inv_eps_sq then
+    invalid_arg (Printf.sprintf "Forall_lb.%s: t" fn)
+
 (* The decode hot paths take the layout as an argument: [layout p] is cheap
    but allocates, and the enumerate decoder issues one cut query per
    half-size subset — reconstructing it inside [query_cut] /
@@ -95,7 +99,7 @@ let correct_decision inst =
    public wrappers below rebuild it once per call. *)
 let query_cut_lay p lay a ~u_mem ~t =
   let block = lay.Layout.block in
-  if Bitstring.length t <> p.inv_eps_sq then invalid_arg "Forall_lb.query_cut: t";
+  check_t p "query_cut" t;
   let mem v =
     let chain = v / block in
     if chain >= a.pair + 2 then true
@@ -176,9 +180,22 @@ let iter_combinations_incremental ~n ~k ~flip ~visit =
 let iter_combinations ~n ~k f =
   iter_combinations_incremental ~n ~k ~flip:(fun _ -> ()) ~visit:f
 
-(* Reference decoder: one full-cut sketch query per subset. *)
-let decode_enumerate_query p lay ~query a ~t =
+(* Guard for the incremental (graph-backed) enumeration: C(28,14) ≈ 40M
+   subsets at O(degree) per step. Subsets are also carried as int
+   bitmasks over left offsets, so the guard must stay < Sys.int_size. *)
+let enumerate_guard = 28
+
+(* Guard for the generic one-query-per-subset path. *)
+let enumerate_query_guard = 20
+
+(* Reference decoder for any sketch: one full-cut query per subset. *)
+let decode_enumerate p ~query a ~t =
+  let lay = layout p in
   let k = lay.Layout.block in
+  if k > enumerate_query_guard then
+    invalid_arg
+      (Printf.sprintf "Forall_lb.decode_enumerate: k too large (> %d)"
+         enumerate_query_guard);
   let best = ref neg_infinity in
   let best_q = Array.make k false in
   iter_combinations ~n:k ~k:(k / 2) (fun mem ->
@@ -188,14 +205,6 @@ let decode_enumerate_query p lay ~query a ~t =
         Array.blit mem 0 best_q 0 k
       end);
   if best_q.(a.i) then Delta_low else Delta_high
-
-(* Guard for the incremental (graph-backed) enumeration: C(28,14) ≈ 40M
-   subsets at O(degree) per step. Subsets are also carried as int
-   bitmasks over left offsets, so the guard must stay < Sys.int_size. *)
-let enumerate_guard = 28
-
-(* Guard for the generic one-query-per-subset path. *)
-let enumerate_query_guard = 20
 
 (* Reusable buffers for [decode_enumerate_frozen]: the query side array
    plus the flip/visit recording blocks that feed [Csr.flip_sweep]. One
@@ -230,7 +239,7 @@ let decode_scratch p =
    which replays the toggles with [cut_delta]'s exact float operations in
    the same order — so the running values, and the argmax with the same
    strict-> tie-break in the same visiting order, match the one-flip-at-
-   a-time loop (and [decode_enumerate_query]) bit for bit whenever cut
+   a-time loop (and [decode_enumerate]) bit for bit whenever cut
    sums are exact in floating point — in particular on the encoder's
    weights {1, 2, 1/β} for β a power of two. *)
 let decode_enumerate_frozen ?scratch p csr a ~t =
@@ -241,7 +250,7 @@ let decode_enumerate_frozen ?scratch p csr a ~t =
     invalid_arg
       (Printf.sprintf "Forall_lb.decode_enumerate: k too large (> %d)"
          enumerate_guard);
-  if Bitstring.length t <> p.inv_eps_sq then invalid_arg "Forall_lb.query_cut: t";
+  check_t p "decode_enumerate_frozen" t;
   let s =
     match scratch with
     | None -> decode_scratch p
@@ -303,24 +312,12 @@ let decode_enumerate_frozen ?scratch p csr a ~t =
   flush ();
   if (!best_mask lsr a.i) land 1 = 1 then Delta_low else Delta_high
 
-let decode_enumerate ?graph ?scratch p ~query a ~t =
-  let lay = layout p in
-  let k = lay.Layout.block in
-  match graph with
-  | Some g -> decode_enumerate_frozen ?scratch p (Csr.of_digraph g) a ~t
-  | None ->
-      (* A generic sketch costs a full query per subset. *)
-      if k > enumerate_query_guard then
-        invalid_arg
-          (Printf.sprintf "Forall_lb.decode_enumerate: k too large (> %d)"
-             enumerate_query_guard);
-      decode_enumerate_query p lay ~query a ~t
-
 (* Per-left-vertex score on a graph-valued sketch: sampled forward weight
    from ℓ_i into T. Summing scores over U gives exactly the sketch's
    estimate of w(U, T), so the top-k/2 set maximizes it over half-size
    subsets (Lemma 4.4's argmax, computed in polynomial time). *)
 let topk_q_set p ~sketch_graph a ~t =
+  check_t p "topk_q_set" t;
   let lay = layout p in
   let k = lay.Layout.block in
   let scores =
@@ -329,11 +326,9 @@ let topk_q_set p ~sketch_graph a ~t =
         let acc = ref 0.0 in
         for v = 0 to p.inv_eps_sq - 1 do
           if t.(v) then
-            (* [Layout.vertex] already validated both endpoints, so the
-               k·(1/ε²) probes skip the per-lookup bounds checks. *)
             acc :=
               !acc
-              +. Digraph.unsafe_weight sketch_graph left
+              +. Csr.weight sketch_graph left
                    (right_vertex p lay ~chain:(a.pair + 1) ~j:a.j ~v)
         done;
         !acc)
@@ -347,6 +342,7 @@ let topk_q_set p ~sketch_graph a ~t =
   q
 
 let decode_topk p ~sketch_graph a ~t =
+  check_t p "decode_topk" t;
   let q = topk_q_set p ~sketch_graph a ~t in
   if q.(a.i) then Delta_low else Delta_high
 
@@ -376,13 +372,12 @@ let codec_bits p =
   Bits.total c
 
 let codec_sketch inst =
-  let g = inst.graph in
-  let csr = Csr.of_digraph g in
+  let csr = Csr.of_digraph inst.graph in
   {
     Sketch.name = "instance-codec(for-all)";
     size_bits = codec_bits inst.params;
     query = (fun s -> Csr.cut_value csr s);
-    graph = Some g;
+    graph = Some csr;
   }
 
 type trial_stats = {
@@ -409,12 +404,13 @@ let run_trials ?domains ?chunk rng p ~sketch_of ~decoder ~trials =
     let decision =
       match decoder with
       | `Single -> decode_single_query p ~query:sk.Sketch.query inst.target ~t
-      | `Enumerate ->
-          decode_enumerate ?graph:sk.Sketch.graph ~scratch p
-            ~query:sk.Sketch.query inst.target ~t
+      | `Enumerate -> (
+          match sk.Sketch.graph with
+          | Some csr -> decode_enumerate_frozen ~scratch p csr inst.target ~t
+          | None -> decode_enumerate p ~query:sk.Sketch.query inst.target ~t)
       | `Topk -> (
           match sk.Sketch.graph with
-          | Some g -> decode_topk p ~sketch_graph:g inst.target ~t
+          | Some csr -> decode_topk p ~sketch_graph:csr inst.target ~t
           | None ->
               invalid_arg "Forall_lb.run_trials: `Topk needs a graph-valued sketch")
     in

@@ -14,12 +14,16 @@
     backward weight; the subset Q maximizing the estimate captures >= 4/5
     of L_high (Lemma 4.4), and Bob answers "Δ small" iff ℓ_{i0} ∈ Q.
 
-    Two decoders are provided: the literal subset enumeration (any cut
-    oracle; exponential in k, for small instances) and a polynomial top-k
-    variant that is exact for every sketch whose cut estimates are additive
-    over left vertices — in particular every graph-valued sketch (the
-    estimate of w(U,T) on a sparsifier is Σ_{ℓ∈U} w̃(ℓ,T), so the argmax
-    over half-size subsets is attained by the top k/2 per-vertex scores). *)
+    Two decoders are provided: the literal subset enumeration (exponential
+    in k, for small instances) and a polynomial top-k variant that is exact
+    for every sketch whose cut estimates are additive over left vertices —
+    in particular every graph-valued sketch (the estimate of w(U,T) on a
+    sparsifier is Σ_{ℓ∈U} w̃(ℓ,T), so the argmax over half-size subsets is
+    attained by the top k/2 per-vertex scores). The enumeration has two
+    paths: one cut query per subset for any sketch
+    ({!decode_enumerate}), and an incremental walk over the frozen graph a
+    graph-valued sketch exposes in its [graph] field
+    ({!decode_enumerate_frozen}). *)
 
 type params = {
   n : int;            (** total vertices; multiple of block k = β·(1/ε²) *)
@@ -111,36 +115,30 @@ val enumerate_guard : int
 val enumerate_query_guard : int
 (** 20 — largest k the generic one-query-per-subset enumeration accepts. *)
 
+val decode_enumerate :
+  params -> query:(Dcs_graph.Cut.t -> float) -> address ->
+  t:Dcs_comm.Bitstring.t -> decision
+(** Literal Lemma 4.4 for any sketch: enumerate all C(k, k/2) half-size
+    subsets, one full [query] each, keeping the argmax estimate. Guarded
+    to k <= {!enumerate_query_guard}; graph-valued sketches use
+    {!decode_enumerate_frozen} instead. *)
+
 val decode_enumerate_frozen :
   ?scratch:decode_scratch ->
   params -> Dcs_graph.Csr.t -> address ->
   t:Dcs_comm.Bitstring.t -> decision
-(** Lemma 4.4 enumeration over a pre-frozen sketch graph: walks the
-    C(k, k/2) half-size subsets incrementally, recording membership
-    toggles and visited subsets into [scratch] blocks and flushing them
-    through the batched {!Dcs_graph.Csr.flip_sweep} kernel — the same
-    float operations in the same order as a per-flip [cut_delta] loop,
-    so decisions are byte-identical to it. Guarded to k <=
-    {!enumerate_guard}. [scratch] (default: fresh) must come from
-    {!decode_scratch} on the same [params]. *)
-
-val decode_enumerate :
-  ?graph:Dcs_graph.Digraph.t ->
-  ?scratch:decode_scratch ->
-  params -> query:(Dcs_graph.Cut.t -> float) -> address ->
-  t:Dcs_comm.Bitstring.t -> decision
-(** Literal Lemma 4.4: enumerate all C(k, k/2) half-size subsets, keeping
-    the argmax estimate.
-
-    Without [graph], each subset costs one full [query]; guarded to
-    k <= {!enumerate_query_guard}. With [graph] — the sketch's own graph,
-    as exposed by graph-valued sketches ([query] must equal its exact cut
-    value) — the graph is frozen into a {!Dcs_graph.Csr} and decoding is
-    {!decode_enumerate_frozen}, raising the guard to
-    k <= {!enumerate_guard} (k = 24 runs in seconds; k = 26 in minutes).
-    Both paths visit subsets in the same order with the same strict->
-    tie-break, and agree bit for bit whenever cut sums are exact in
-    floating point (the encoder's weights for β a power of two). *)
+(** The same Lemma 4.4 enumeration over a frozen sketch graph — the
+    [graph] of a graph-valued {!Dcs_sketch.Sketch.t}, whose [query] is its
+    exact cut value. Walks the C(k, k/2) half-size subsets incrementally,
+    recording membership toggles and visited subsets into [scratch] blocks
+    and flushing them through the batched {!Dcs_graph.Csr.flip_sweep}
+    kernel, which raises the guard to k <= {!enumerate_guard} (k = 24 runs
+    in seconds). It visits subsets in the order of
+    {!decode_enumerate} with the same strict-> tie-break, and the two agree
+    bit for bit whenever cut sums are exact in floating point (the
+    encoder's weights for β a power of two). [scratch] (default: fresh)
+    must come from {!decode_scratch} on the same [params]. Raises
+    [Invalid_argument] if [t] is not of length 1/ε². *)
 
 val iter_combinations_incremental :
   n:int -> k:int -> flip:(int -> unit) -> visit:(bool array -> unit) -> unit
@@ -150,15 +148,18 @@ val iter_combinations_incremental :
     benchmark and the incremental-cut equivalence tests. *)
 
 val decode_topk :
-  params -> sketch_graph:Dcs_graph.Digraph.t -> address ->
+  params -> sketch_graph:Dcs_graph.Csr.t -> address ->
   t:Dcs_comm.Bitstring.t -> decision
-(** Polynomial decoder for additive (graph-valued) sketches. *)
+(** Polynomial decoder for additive (graph-valued) sketches: reads the
+    per-vertex scores w̃(ℓ_i, T) off the sketch's frozen graph. Raises
+    [Invalid_argument] if [t] is not of length 1/ε². *)
 
 val topk_q_set :
-  params -> sketch_graph:Dcs_graph.Digraph.t -> address ->
+  params -> sketch_graph:Dcs_graph.Csr.t -> address ->
   t:Dcs_comm.Bitstring.t -> bool array
 (** The Q ⊂ V_p chosen by the top-k decoder (exposed for the Lemma 4.3/4.4
-    statistics experiment). *)
+    statistics experiment). Raises [Invalid_argument] if [t] is not of
+    length 1/ε². *)
 
 val lemma43_stats : instance -> int * int
 (** (|L_high|, |L_low|) for the planted pair's T — the population the
@@ -185,8 +186,10 @@ val run_trials :
   decoder:[ `Enumerate | `Topk | `Single ] ->
   trials:int ->
   trial_stats
-(** Fresh instance per trial; decodes the planted pair. [`Topk] requires
-    the sketches to be graph-valued. Trials run on the chunked pool
+(** Fresh instance per trial; decodes the planted pair. [`Enumerate]
+    takes {!decode_enumerate_frozen} on the sketch's [graph] when it has
+    one and {!decode_enumerate} otherwise; [`Topk] requires the sketches
+    to be graph-valued. Trials run on the chunked pool
     ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
     [Pool.domain_count ()]) in [chunk]-sized batches, one reusable
     {!decode_scratch} per domain; per-trial [Prng.split] streams keep the

@@ -212,13 +212,12 @@ let codec_bits p =
 let codec_sketch inst =
   (* The graph is a deterministic function of (params, s); transmitting s is
      a complete description, so the codec answers queries exactly. *)
-  let g = inst.graph in
-  let csr = Dcs_graph.Csr.of_digraph g in
+  let csr = Dcs_graph.Csr.of_digraph inst.graph in
   {
     Sketch.name = "instance-codec(for-each)";
     size_bits = codec_bits inst.params;
     query = (fun s -> Dcs_graph.Csr.cut_value csr s);
-    graph = Some g;
+    graph = Some csr;
   }
 
 type trial_stats = {

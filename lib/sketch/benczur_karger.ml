@@ -16,11 +16,10 @@ let sparsify ?c rng ~eps g =
 
 let sketch ?c rng ~eps g =
   let h = sparsify ?c rng ~eps g in
-  let d = Ugraph.to_digraph h in
-  Sketch.of_digraph
+  Sketch.of_csr
     ~name:(Printf.sprintf "benczur-karger(eps=%g)" eps)
     ~size_bits:(Sketch.ugraph_encoding_bits h)
-    d
+    (Dcs_graph.Csr.of_ugraph h)
 
 let expected_edges ?c ~eps g =
   Importance.expected_edges_ugraph ~prob:(probability ?c ~eps g) g

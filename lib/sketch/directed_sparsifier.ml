@@ -86,7 +86,9 @@ let expected_kept ~rho conn =
   !acc
 
 let to_sketch ~name h =
-  Sketch.of_digraph ~name ~size_bits:(Sketch.digraph_encoding_bits h) h
+  Sketch.of_csr ~name
+    ~size_bits:(Sketch.digraph_encoding_bits h)
+    (Dcs_graph.Csr.of_digraph h)
 
 let forall_sketch ?c rng ~eps ~beta g =
   to_sketch

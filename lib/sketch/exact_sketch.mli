@@ -1,4 +1,6 @@
-(** The lossless sketch: stores the graph itself.
+(** The lossless sketch: stores the graph itself, as one frozen
+    {!Dcs_graph.Csr} snapshot (later mutations of the caller's digraph do
+    not reach the sketch).
 
     Queries are exact ((1 ± 0) in both the for-each and for-all sense) and
     the size is the canonical graph encoding. This is the

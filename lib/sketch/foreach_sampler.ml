@@ -1,5 +1,3 @@
-module Ugraph = Dcs_graph.Ugraph
-
 let probability ?(c = 3.0) ~eps g =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Foreach_sampler: eps in (0,1)";
   let strengths = Strength.compute g in
@@ -13,10 +11,10 @@ let sparsify ?c rng ~eps g =
 
 let sketch ?c rng ~eps g =
   let h = sparsify ?c rng ~eps g in
-  Sketch.of_digraph
+  Sketch.of_csr
     ~name:(Printf.sprintf "foreach-sampler(eps=%g)" eps)
     ~size_bits:(Sketch.ugraph_encoding_bits h)
-    (Ugraph.to_digraph h)
+    (Dcs_graph.Csr.of_ugraph h)
 
 let expected_edges ?c ~eps g =
   Importance.expected_edges_ugraph ~prob:(probability ?c ~eps g) g

@@ -4,7 +4,7 @@ module Cut = Dcs_graph.Cut
 module Bits = Dcs_util.Bits
 module Metrics = Dcs_obs_core.Metrics
 
-(* Every graph-valued sketch construction funnels through [of_digraph], so
+(* Every graph-valued sketch construction funnels through [of_csr], so
    these two registry counters mirror the repo's bit accounting: the
    registry total equals the sum of [size_bits] over all sketches built.
    E18 cross-checks the equality. *)
@@ -15,7 +15,7 @@ type t = {
   name : string;
   size_bits : int;
   query : Cut.t -> float;
-  graph : Digraph.t option;
+  graph : Csr.t option;
 }
 
 let digraph_encoding_bits g =
@@ -43,14 +43,10 @@ let checksum_bits = Dcs_util.Checksum.bits
 let digraph_frame_bits g = digraph_encoding_bits g + checksum_bits
 let ugraph_frame_bits g = ugraph_encoding_bits g + checksum_bits
 
-let of_digraph ~name ~size_bits g =
+let of_csr ~name ~size_bits csr =
   Metrics.inc m_built;
   Metrics.inc ~by:size_bits m_size_bits;
-  (* Freeze once at construction; every query is then a flat-array scan
-     instead of a hashtable walk. [graph] still exposes the mutable source
-     for decoders that want per-edge access. *)
-  let csr = Csr.of_digraph g in
-  { name; size_bits; query = (fun s -> Csr.cut_value csr s); graph = Some g }
+  { name; size_bits; query = (fun s -> Csr.cut_value csr s); graph = Some csr }
 
 let median xs =
   let a = Array.of_list xs in

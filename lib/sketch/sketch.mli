@@ -8,19 +8,24 @@
 
     [size_bits] is the honest serialized size of the structure, the
     quantity the lower bounds speak about. [graph] is exposed when the
-    sketch happens to be a (sparsified) graph; graph-valued sketches
-    support richer queries (e.g. the additive per-vertex estimates used by
-    the polynomial variant of the Section 4 decoder). *)
+    sketch happens to be a (sparsified) graph: it is the one frozen
+    {!Dcs_graph.Csr} view that [query] itself reads, so decoders that want
+    more than cut values (the additive per-vertex estimates of the
+    polynomial Section 4 decoder, the incremental subset walk) use it
+    directly, without freezing the graph again. *)
 
 type t = {
   name : string;
   size_bits : int;
   query : Dcs_graph.Cut.t -> float;  (** estimate of w(S, V\S) *)
-  graph : Dcs_graph.Digraph.t option;
+  graph : Dcs_graph.Csr.t option;
 }
 
-val of_digraph : name:string -> size_bits:int -> Dcs_graph.Digraph.t -> t
-(** Graph-valued sketch: queries are exact cuts of the given graph. *)
+val of_csr : name:string -> size_bits:int -> Dcs_graph.Csr.t -> t
+(** Graph-valued sketch: queries are exact cuts of the given frozen graph,
+    which is also exposed as [graph]. Counts one [sketch.built] and
+    [size_bits] on [sketch.size_bits] in the {!Dcs_obs_core.Metrics}
+    registry. *)
 
 val relative_error : t -> Dcs_graph.Digraph.t -> Dcs_graph.Cut.t -> float
 (** |estimate - truth| / |truth| against a reference graph. Zero-cut edge
@@ -55,4 +60,5 @@ val median_boost : t list -> t
 (** The paper's footnote-2 amplification: run O(1) independent sketches and
     answer each query with the median estimate, boosting per-cut success
     from 2/3 to 99/100 at a constant-factor size cost. [size_bits] is the
-    sum of the parts; [graph] is kept only if all parts share one. *)
+    sum of the parts; [graph] is always [None], since the median of several
+    graphs' cut values is not the cut value of any one graph. *)

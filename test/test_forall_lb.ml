@@ -145,6 +145,19 @@ let test_decode_topk_exact_high_success () =
   in
   Alcotest.(check bool) "success >= 2/3" true (st.F.success_rate >= 0.67)
 
+let test_decode_enumerate_freezes_once () =
+  (* Exact_sketch freezes the instance once, and the enumerate decoder
+     walks that same frozen graph: one csr.builds per trial, no refreeze. *)
+  let builds = Obs.Metrics.counter "csr.builds" in
+  let trials = 6 in
+  let before = Obs.Metrics.counter_value builds in
+  ignore
+    (F.run_trials ~domains:1 (Prng.create 19) (small_params ())
+       ~sketch_of:(fun _ inst -> Exact_sketch.create inst.F.graph)
+       ~decoder:`Enumerate ~trials);
+  Alcotest.(check int) "one freeze per trial" trials
+    (Obs.Metrics.counter_value builds - before)
+
 let test_decode_single_query_exact () =
   (* With an exact oracle even the one-query decoder works. *)
   let rng = Prng.create 11 in
@@ -200,9 +213,12 @@ let test_decode_enumerate_csr_matches_query_path () =
     let inst = random_inst seed p in
     let g = inst.F.graph in
     let t = inst.F.gh.Gap_hamming.t in
-    let query s = Cut.value g s in
-    let via_query = F.decode_enumerate p ~query inst.F.target ~t in
-    let via_csr = F.decode_enumerate ~graph:g p ~query inst.F.target ~t in
+    let via_query =
+      F.decode_enumerate p ~query:(fun s -> Cut.value g s) inst.F.target ~t
+    in
+    let via_csr =
+      F.decode_enumerate_frozen p (Csr.of_digraph g) inst.F.target ~t
+    in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d decisions agree" seed)
       true (via_query = via_csr)
@@ -215,8 +231,8 @@ let test_decode_enumerate_accepts_k24 () =
   Alcotest.(check int) "block" 24 (F.block_size p);
   let inst = random_inst 30 p in
   let d =
-    F.decode_enumerate ~graph:inst.F.graph p
-      ~query:(fun s -> Cut.value inst.F.graph s)
+    F.decode_enumerate_frozen p
+      (Csr.of_digraph inst.F.graph)
       inst.F.target ~t:inst.F.gh.Gap_hamming.t
   in
   Alcotest.(check bool) "exact sketch decodes correctly" true
@@ -230,19 +246,27 @@ let test_decode_enumerate_csr_guard () =
   Alcotest.check_raises "k too large for csr"
     (Invalid_argument "Forall_lb.decode_enumerate: k too large (> 28)") (fun () ->
       ignore
-        (F.decode_enumerate ~graph:inst.F.graph p
-           ~query:(fun s -> Cut.value inst.F.graph s)
+        (F.decode_enumerate_frozen p
+           (Csr.of_digraph inst.F.graph)
            inst.F.target ~t:inst.F.gh.Gap_hamming.t))
 
 let test_topk_q_half_size () =
   let p = small_params () in
   let inst = random_inst 14 p in
+  let sketch_graph = Csr.of_digraph inst.F.graph in
   let q =
-    F.topk_q_set p ~sketch_graph:inst.F.graph inst.F.target
-      ~t:inst.F.gh.Gap_hamming.t
+    F.topk_q_set p ~sketch_graph inst.F.target ~t:inst.F.gh.Gap_hamming.t
   in
   let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 q in
-  Alcotest.(check int) "|Q| = k/2" 8 size
+  Alcotest.(check int) "|Q| = k/2" 8 size;
+  (* A t longer than 1/eps^2 = 8 is rejected, not read by its prefix. *)
+  let long_t = Array.append inst.F.gh.Gap_hamming.t (Array.make 4 true) in
+  Alcotest.check_raises "topk_q_set: long t"
+    (Invalid_argument "Forall_lb.topk_q_set: t") (fun () ->
+      ignore (F.topk_q_set p ~sketch_graph inst.F.target ~t:long_t));
+  Alcotest.check_raises "decode_topk: long t"
+    (Invalid_argument "Forall_lb.decode_topk: t") (fun () ->
+      ignore (F.decode_topk p ~sketch_graph inst.F.target ~t:long_t))
 
 let test_lemma43_stats_reasonable () =
   (* With c small, E[|L_high|] and E[|L_low|] are close to a constant
@@ -313,7 +337,9 @@ let prop_topk_maximizes_score =
       let inst = F.random_instance rng p in
       let t = inst.F.gh.Gap_hamming.t in
       let a = inst.F.target in
-      let q = F.topk_q_set p ~sketch_graph:inst.F.graph a ~t in
+      let q =
+        F.topk_q_set p ~sketch_graph:(Csr.of_digraph inst.F.graph) a ~t
+      in
       let score mem =
         let acc = ref 0.0 in
         for i = 0 to 15 do
@@ -342,6 +368,8 @@ let suite =
     Alcotest.test_case "estimate w(U,T) exact" `Quick test_estimate_w_ut_exact;
     Alcotest.test_case "decode: enumerate (exact)" `Quick test_decode_enumerate_exact_high_success;
     Alcotest.test_case "decode: topk (exact)" `Quick test_decode_topk_exact_high_success;
+    Alcotest.test_case "decode: enumerate freezes once per trial" `Quick
+      test_decode_enumerate_freezes_once;
     Alcotest.test_case "decode: single query (exact)" `Quick test_decode_single_query_exact;
     Alcotest.test_case "single vs enumerate separation" `Quick test_single_query_collapses_before_enumerate;
     Alcotest.test_case "decode: enumerate guard" `Quick test_decode_enumerate_guard;
