@@ -20,10 +20,13 @@
      estimates -> binomial resampling -> Karger on the sparsifier ->
      certify against the frozen CSR) vs the dense solver at the same
      trial count, on a planted two-block instance (n = 1000, ~150k
-     weighted edges, two cross edges). Floor: >= 3x wall-clock, enforced
+     weighted edges, two cross edges), freezing the input once for both
+     the estimates and certify. Floor: >= 3x wall-clock, enforced
      inside the stage on every cold run — an anti-regression floor sized
      for 1-core hosts (measured ~4x; the speedup is algorithmic, edges
-     solved shrink ~6.6x, so it does not depend on parallelism). The
+     solved shrink ~6.6x, so it does not depend on parallelism). Beside
+     it, a work-count check that cannot flake: the sparsifier keeps at
+     most m/5 edges and the exact tier runs within its flow budget. The
      planted cut's edges have lambda-hat below rho, so they ride through
      sampling at p = 1 and certification holds by construction (see the
      s_* comment below). Figures go to stderr; the artifact carries
@@ -174,13 +177,16 @@ let s_k = 2
    estimation, binomial resampling, Karger on the sparsifier, certify
    against the frozen view — everything the dense side does not pay. *)
 let sparse_pipeline ?domains rng g =
+  let csr = Csr.of_ugraph g in
   let strengths = Strength.compute ~max_rounds:s_rounds g in
   let conn =
-    Connectivity.estimate_ugraph ?domains ~strengths
+    Connectivity.estimate_ugraph ?domains ~csr ~strengths
       ~flow_budget:s_flow_budget ~cap:s_cap g
   in
-  Partial_mincut.mincut ?domains ~rho:s_rho ~connectivity:conn rng ~eps:s_eps
-    ~solver:(Partial_mincut.Karger { trials = s_trials }) g
+  Partial_mincut.mincut ?domains ~rho:s_rho ~connectivity:conn ~csr rng
+    ~eps:s_eps
+    ~solver:(Partial_mincut.Karger { trials = s_trials })
+    g
 
 let enforce_speed_floor ~dense_s ~sparse_s ~m ~m' =
   let sp = dense_s /. Float.max sparse_s 1e-9 in
@@ -195,6 +201,17 @@ let enforce_speed_floor ~dense_s ~sparse_s ~m ~m' =
          "E24: sparsify-then-solve %.2fx < 3x vs dense Karger (%d trials, %d \
           cores) — anti-regression floor"
          sp s_trials cores)
+
+(* The work counts behind the speed floor, which cannot flake: the
+   solver sees at most a fifth of the edges, and the exact tier stays
+   within its flow budget. *)
+let enforce_work_counts ~m ~m' ~flows =
+  if m' * 5 > m then
+    failwith (Printf.sprintf "E24: sparsifier kept %d of %d edges (> m/5)" m' m);
+  if flows > s_flow_budget then
+    failwith
+      (Printf.sprintf "E24: %d exact flows run, over the budget of %d" flows
+         s_flow_budget)
 
 (* Artifact: (n, m, trials, dense value, result fields, m', flows,
    identical across explicit domain counts). Wall clock stays on
@@ -219,8 +236,11 @@ let speed_stage pl =
       let r, sparse_s =
         time (fun () -> sparse_pipeline (Prng.copy sparse_seed) g)
       in
+      let st = r.Partial_mincut.stats in
       enforce_speed_floor ~dense_s ~sparse_s ~m:(Ugraph.m g)
-        ~m':r.Partial_mincut.stats.Partial_mincut.m_sparse;
+        ~m':st.Partial_mincut.m_sparse;
+      enforce_work_counts ~m:(Ugraph.m g) ~m':st.Partial_mincut.m_sparse
+        ~flows:st.Partial_mincut.conn.Connectivity.flows;
       (* Scheduling must leak into nothing: the same pipeline at explicit
          domain counts returns the identical cut. *)
       let identical =
@@ -237,7 +257,6 @@ let speed_stage pl =
       in
       if not identical then
         failwith "E24: sparse pipeline diverges across explicit domain counts";
-      let st = r.Partial_mincut.stats in
       ( Ugraph.n g,
         Ugraph.m g,
         s_trials,

@@ -191,8 +191,11 @@ let projection_strengths t ~tag ~rounds gnode =
   | Some node -> node
   | None ->
       let name = Printf.sprintf "strength.%s r%d" tag rounds in
+      (* v2: Strength.t became flat arrays; a v1 artifact in a persisted
+         store is the old hashtable record and must not be unmarshalled
+         into the new one. *)
       let node =
-        Sched.stage t.dag ~name ~codec:(Sched.marshal_codec ())
+        Sched.stage t.dag ~name ~version:"v2" ~codec:(Sched.marshal_codec ())
           ~deps:[ Sched.dep gnode ]
           (fun () ->
             Strength.compute ~max_rounds:rounds

@@ -8,6 +8,7 @@
    a row. Both arc directions are stored; [reverse] is a field swap. *)
 
 module Metrics = Dcs_obs_core.Metrics
+module Trace = Dcs_obs_core.Trace
 
 (* Registry funnel (E19 cross-checks these): one [builds] per freeze, one
    [cut_full] per from-scratch cut evaluation, one [cut_delta] per O(degree)
@@ -48,63 +49,61 @@ let check_vertex t u name =
   if u < 0 || u >= t.n then
     invalid_arg (Printf.sprintf "Csr.%s: vertex %d" name u)
 
-(* Sort each row in place by endpoint. Rows come from merged hashtables, so
-   endpoints within a row are distinct and the sorted order is canonical. *)
-let sort_rows nv off dst w =
-  for u = 0 to nv - 1 do
-    let lo = off.(u) in
-    let len = off.(u + 1) - lo in
-    if len > 1 then begin
-      let row = Array.init len (fun i -> (dst.(lo + i), w.(lo + i))) in
-      Array.sort (fun (a, _) (b, _) -> compare a b) row;
-      Array.iteri
-        (fun i (d, x) ->
-          dst.(lo + i) <- d;
-          w.(lo + i) <- x)
-        row
-    end
-  done
-
 let prefix_sums off nv =
   for i = 0 to nv - 1 do
     off.(i + 1) <- off.(i + 1) + off.(i)
   done
 
+(* Freezing sorts no row. The fill walks sources in increasing order, so
+   every row it writes (the in-rows of a digraph, the lower half of each
+   symmetric row) comes out sorted by endpoint; a counting transpose of
+   those rows — scanned by increasing row — writes the remaining rows
+   sorted too. Endpoints within a row are distinct (the sources are
+   hashtables), so the order is canonical, and the only temporary is the
+   n-sized cursor array. *)
 let of_digraph g =
+  Trace.with_span "csr.freeze" @@ fun () ->
   Metrics.inc m_builds;
   let nv = Digraph.n g in
   let out_off = Array.make (nv + 1) 0 in
   let in_off = Array.make (nv + 1) 0 in
-  Digraph.iter_edges g (fun u v _ ->
-      out_off.(u + 1) <- out_off.(u + 1) + 1;
-      in_off.(v + 1) <- in_off.(v + 1) + 1);
+  for u = 0 to nv - 1 do
+    out_off.(u + 1) <- Digraph.out_degree g u;
+    in_off.(u + 1) <- Digraph.in_degree g u
+  done;
   prefix_sums out_off nv;
   prefix_sums in_off nv;
   let arcs = out_off.(nv) in
   let out_dst = Array.make arcs 0 and out_w = Array.make arcs 0.0 in
   let in_src = Array.make arcs 0 and in_w = Array.make arcs 0.0 in
-  let ocur = Array.sub out_off 0 (max 1 nv) in
-  let icur = Array.sub in_off 0 (max 1 nv) in
-  Digraph.iter_edges g (fun u v w ->
-      let i = ocur.(u) in
-      ocur.(u) <- i + 1;
+  let cur = Array.sub in_off 0 (max 1 nv) in
+  for u = 0 to nv - 1 do
+    Digraph.iter_out g u (fun v w ->
+        let j = cur.(v) in
+        cur.(v) <- j + 1;
+        in_src.(j) <- u;
+        in_w.(j) <- w)
+  done;
+  Array.blit out_off 0 cur 0 nv;
+  for v = 0 to nv - 1 do
+    for j = in_off.(v) to in_off.(v + 1) - 1 do
+      let u = in_src.(j) in
+      let i = cur.(u) in
+      cur.(u) <- i + 1;
       out_dst.(i) <- v;
-      out_w.(i) <- w;
-      let j = icur.(v) in
-      icur.(v) <- j + 1;
-      in_src.(j) <- u;
-      in_w.(j) <- w);
-  sort_rows nv out_off out_dst out_w;
-  sort_rows nv in_off in_src in_w;
+      out_w.(i) <- in_w.(j)
+    done
+  done;
   { n = nv; arcs; out_off; out_dst; out_w; in_off; in_src; in_w }
 
 let of_ugraph g =
+  Trace.with_span "csr.freeze" @@ fun () ->
   Metrics.inc m_builds;
   let nv = Ugraph.n g in
   let off = Array.make (nv + 1) 0 in
-  Ugraph.iter_edges g (fun u v _ ->
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1);
+  for u = 0 to nv - 1 do
+    off.(u + 1) <- Ugraph.degree g u
+  done;
   prefix_sums off nv;
   let arcs = off.(nv) in
   let dst = Array.make arcs 0 and w = Array.make arcs 0.0 in
@@ -115,10 +114,18 @@ let of_ugraph g =
     dst.(i) <- v;
     w.(i) <- x
   in
-  Ugraph.iter_edges g (fun u v x ->
-      put u v x;
-      put v u x);
-  sort_rows nv off dst w;
+  (* Lower halves: row v receives its neighbours u < v in increasing u. *)
+  for u = 0 to nv - 1 do
+    Ugraph.iter_neighbors g u (fun v x -> if u < v then put v u x)
+  done;
+  (* Upper halves: each cursor now sits where its row's upper half starts;
+     transposing the lower halves by increasing row fills them in
+     increasing endpoint order. *)
+  for v = 0 to nv - 1 do
+    for j = off.(v) to cur.(v) - 1 do
+      put dst.(j) v w.(j)
+    done
+  done;
   (* Symmetric: the in-direction is the same physical arrays. *)
   { n = nv; arcs; out_off = off; out_dst = dst; out_w = w;
     in_off = off; in_src = dst; in_w = w }
@@ -171,6 +178,8 @@ let iter_in t v f =
   for i = t.in_off.(v) to t.in_off.(v + 1) - 1 do
     f t.in_src.(i) t.in_w.(i)
   done
+
+let out_rows t = (t.out_off, t.out_dst, t.out_w)
 
 let weight t u v =
   check_vertex t u "weight";

@@ -2,7 +2,8 @@
 
     A [Csr.t] is an immutable snapshot of a {!Digraph} or {!Ugraph} as flat
     offset/endpoint/weight arrays, in both arc directions. Freezing costs
-    one pass over the edges plus a per-row sort; afterwards cut evaluation
+    one pass over the edges plus a counting transpose — O(n + m), no
+    comparison sort; afterwards cut evaluation
     is a contiguous scan and single-vertex cut updates are O(degree) via
     {!cut_delta} — the workhorse of the Section 4 subset-enumeration
     decoder and of every solver that evaluates many cuts of one graph.
@@ -18,13 +19,17 @@
 type t
 
 val of_digraph : Digraph.t -> t
-(** Freeze a directed graph. O(n + m log m). *)
+(** Freeze a directed graph. O(n + m): the in-rows fill in increasing
+    source order and a counting transpose of them writes the out-rows in
+    increasing endpoint order. *)
 
 val of_ugraph : Ugraph.t -> t
 (** Freeze an undirected graph as its symmetric directed view: each
     undirected edge becomes two opposite arcs of the same weight, and both
     directions share one arc array. Directed cut values of the result equal
-    the undirected cut values of the source. *)
+    the undirected cut values of the source. O(n + m), like
+    {!of_digraph}: the lower half of each row fills in increasing order
+    and its transpose fills the upper halves. *)
 
 val n : t -> int
 val m : t -> int
@@ -55,6 +60,13 @@ val iter_out : t -> int -> (int -> float -> unit) -> unit
 
 val iter_in : t -> int -> (int -> float -> unit) -> unit
 (** In-neighbors (sources) in increasing vertex order. *)
+
+val out_rows : t -> int array * int array * float array
+(** [(off, dst, w)]: the frozen out-direction arrays themselves, shared
+    and not copied — callers must not mutate them. Row [u] is
+    [dst]/[w] at [off.(u) .. off.(u+1) - 1], endpoints increasing. For
+    loops that cannot afford a closure call per arc; [out_rows (reverse
+    t)] gives the in-direction. *)
 
 val total_weight : t -> float
 (** Sum of all stored arc weights. *)

@@ -4,6 +4,7 @@ module Csr = Dcs_graph.Csr
 module Pool = Dcs_util.Pool
 module Dinic = Dcs_mincut.Dinic
 module Metrics = Dcs_obs_core.Metrics
+module Trace = Dcs_obs_core.Trace
 
 (* Batched local edge-connectivity estimation: a lower bound
    λ̂(u,v) <= min(λ(u,v), cap) for every edge, where λ is the local
@@ -21,7 +22,10 @@ module Metrics = Dcs_obs_core.Metrics
       β-balanced graphs);
    3. a common-neighbour bound: w(u,v) + Σ_z min(w(u,z), w(z,v)) — the
       direct edge plus one edge-disjoint two-hop path per shared
-      neighbour, an O(deg) sorted-row merge;
+      neighbour — batched over {!Dcs_util.Pool.run_batched} in fixed
+      blocks of edges: each worker domain scatters out-row u into one
+      dense length-n row and walks in-row v against it, O(deg v) per
+      edge plus one O(deg u) scatter per run of edges leaving u;
    4. exact max-flow capped at [cap], batched over
       {!Dcs_util.Pool.run_batched} with one reusable Dinic residual
       network per worker domain (built once per domain, reset — an O(m)
@@ -32,8 +36,9 @@ module Metrics = Dcs_obs_core.Metrics
    budget, and — for undirected graphs — on the NI sparse certificate
    ({!Strength.certificate}, O(cap·n) edges) instead of the full graph.
    Results are a pure function of graph content: edges are visited in
-   canonical sorted order and each flow task is a pure function of its
-   index, so estimates are byte-identical for every domain count. *)
+   canonical sorted order (read off the frozen view's sorted rows) and
+   each merge block and flow task is a pure function of its index, so
+   estimates are byte-identical for every domain count. *)
 
 let m_edges = Metrics.counter "conn.edges"
 let m_by_weight = Metrics.counter "conn.by_weight"
@@ -68,52 +73,63 @@ let stats t = t.stats
 let iter t f =
   Array.iteri (fun i (u, v, w) -> f u v w t.lambda.(i)) t.edges
 
-(* Adjacency rows of a frozen view as flat arrays, for the sorted-row
-   merges of the common-neighbour bound. *)
-let materialize n iter deg =
-  let heads = Array.init n (fun u -> Array.make (deg u) 0) in
-  let ws = Array.init n (fun u -> Array.make (deg u) 0.0) in
-  for u = 0 to n - 1 do
-    let i = ref 0 in
-    iter u (fun v w ->
-        heads.(u).(!i) <- v;
-        ws.(u).(!i) <- w;
-        incr i)
-  done;
-  (heads, ws)
+(* Pending edges per common-neighbour task: a fixed block, never derived
+   from the domain count, so [pool.tasks] is deterministic. *)
+let merge_block = 1024
 
-(* Out- and in-rows of the graph the common-neighbour merges read; an
-   undirected (symmetric) view shares one materialization for both
-   sides. *)
-let rows_of_csr ~symmetric csr =
-  let n = Csr.n csr in
-  let out = materialize n (Csr.iter_out csr) (Csr.out_degree csr) in
-  let inn =
-    if symmetric then out
-    else materialize n (Csr.iter_in csr) (Csr.in_degree csr)
+(* w_direct + Σ_{z <> u,v} min(w(u,z), w(z,v)) for every pending edge:
+   the direct edge plus one two-hop path per common neighbour, pairwise
+   edge-disjoint, so every u→v cut severs at least this much weight.
+   Each worker domain owns one dense row of length n, all zeros between
+   uses: out-row u is scattered into it once per run of pending edges
+   with source u (edges are in canonical order, so those runs are
+   contiguous), and in-row v is walked adding min(dense.(z), w(z,v)) in
+   increasing z — the addition order of a sorted-row merge, since a
+   non-neighbour contributes min(0, w) = +0. (z = u reads 0: no
+   self-loops; z = v never occurs in in-row v.) The walk stops once the
+   sum reaches [cap]: every term is >= 0, so a float sum that has reached
+   the cap stays there, and such an edge resolves to exactly [cap]
+   whatever the rest would add. Results land in [tb] by pending position,
+   so they are the same for every domain count. *)
+let common_neighbour_bounds ?domains ~cap ~n ~edges ~pending tri_csr =
+  let np = Array.length pending in
+  let tb = Array.make np 0.0 in
+  let ooff, odst, ow = Csr.out_rows tri_csr in
+  let ioff, isrc, iw = Csr.out_rows (Csr.reverse tri_csr) in
+  let scatter dense u =
+    for j = ooff.(u) to ooff.(u + 1) - 1 do
+      dense.(odst.(j)) <- ow.(j)
+    done
+  and clear dense u =
+    for j = ooff.(u) to ooff.(u + 1) - 1 do
+      dense.(odst.(j)) <- 0.0
+    done
   in
-  (out, inn)
-
-(* w_direct + Σ_{z <> u,v} min(w(u,z), w(z,v)): the direct edge plus one
-   two-hop path per common neighbour, pairwise edge-disjoint, so every
-   u→v cut severs at least this much weight. Rows are sorted by endpoint,
-   so the merge is linear in the two degrees. *)
-let common_neighbour_bound ~oh ~ow ~ih ~iw u v w_direct =
-  let a = oh.(u) and aw = ow.(u) and b = ih.(v) and bw = iw.(v) in
-  let la = Array.length a and lb = Array.length b in
-  let i = ref 0 and j = ref 0 in
-  let acc = ref w_direct in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      if x <> u && x <> v then acc := !acc +. Float.min aw.(!i) bw.(!j);
-      incr i;
-      incr j
-    end
-    else if x < y then incr i
-    else incr j
-  done;
-  !acc
+  let nblocks = (np + merge_block - 1) / merge_block in
+  ignore
+    (Pool.run_batched ?domains ~chunk:1
+       ~arena:(fun () -> Array.make n 0.0)
+       ~n:nblocks
+       (fun dense blk ->
+         let cur = ref (-1) in
+         for k = blk * merge_block to min np ((blk + 1) * merge_block) - 1 do
+           let u, v, w = edges.(pending.(k)) in
+           if u <> !cur then begin
+             if !cur >= 0 then clear dense !cur;
+             scatter dense u;
+             cur := u
+           end;
+           let acc = ref w and j = ref ioff.(v) in
+           let stop = ioff.(v + 1) in
+           while !j < stop && !acc < cap do
+             let a = dense.(isrc.(!j)) and b = iw.(!j) in
+             acc := !acc +. (if b < a then b else a);
+             incr j
+           done;
+           tb.(k) <- !acc
+         done;
+         if !cur >= 0 then clear dense !cur));
+  tb
 
 let default_rounds ~cap ~scale =
   if Float.is_finite cap then max 1 (int_of_float (ceil (cap *. scale)))
@@ -125,49 +141,55 @@ let default_rounds ~cap ~scale =
    subgraph of the source is sound — undirected estimation passes the NI
    certificate so flow cost is independent of the source density). *)
 let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
-    ~tri_rows ~flow_csr () =
+    ~tri_csr ~flow_csr () =
   if cap <= 0.0 then invalid_arg "Connectivity: cap must be positive";
   if flow_budget < 0 then invalid_arg "Connectivity: flow_budget >= 0";
   let m = Array.length edges in
   let lambda = Array.make m 0.0 in
-  let by_weight = ref 0 and by_strength = ref 0 and by_triangle = ref 0 in
-  let pending = ref [] in
-  for i = m - 1 downto 0 do
-    let _, _, w = edges.(i) in
-    if w >= cap then begin
-      lambda.(i) <- cap;
-      incr by_weight
-    end
-    else begin
-      let b = Float.max w (ni i) in
-      if b >= cap then begin
+  let by_weight = ref 0 and by_strength = ref 0 in
+  let pending =
+    Trace.with_span "conn.tier.ni" @@ fun () ->
+    let pending = Array.make m 0 and np = ref 0 in
+    for i = 0 to m - 1 do
+      let _, _, w = edges.(i) in
+      if w >= cap then begin
         lambda.(i) <- cap;
-        incr by_strength
+        incr by_weight
       end
       else begin
-        lambda.(i) <- b;
-        pending := i :: !pending
-      end
-    end
-  done;
-  let (oh, ow), (ih, iw) = tri_rows in
-  let unresolved =
-    List.filter
-      (fun i ->
-        let u, v, w = edges.(i) in
-        let tb = common_neighbour_bound ~oh ~ow ~ih ~iw u v w in
-        if tb >= cap then begin
+        let b = Float.max w (ni i) in
+        if b >= cap then begin
           lambda.(i) <- cap;
-          incr by_triangle;
-          false
+          incr by_strength
         end
         else begin
-          lambda.(i) <- Float.max lambda.(i) tb;
-          true
-        end)
-      !pending
+          lambda.(i) <- b;
+          pending.(!np) <- i;
+          incr np
+        end
+      end
+    done;
+    Array.sub pending 0 !np
   in
-  let unresolved = Array.of_list unresolved in
+  let by_triangle = ref 0 in
+  let unresolved =
+    Trace.with_span "conn.tier.merge" @@ fun () ->
+    let tb = common_neighbour_bounds ?domains ~cap ~n ~edges ~pending tri_csr in
+    let unresolved = Array.make (Array.length pending) 0 and nu = ref 0 in
+    Array.iteri
+      (fun k i ->
+        if tb.(k) >= cap then begin
+          lambda.(i) <- cap;
+          incr by_triangle
+        end
+        else begin
+          lambda.(i) <- Float.max lambda.(i) tb.(k);
+          unresolved.(!nu) <- i;
+          incr nu
+        end)
+      pending;
+    Array.sub unresolved 0 !nu
+  in
   (* Weakest bound first: those are the edges whose sampling probability
      an exact answer moves the most, so a finite flow budget buys the
      sharpest estimates available. Ties break on edge index — the order
@@ -179,6 +201,7 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     unresolved;
   let nflows = min flow_budget (Array.length unresolved) in
   if nflows > 0 then begin
+    Trace.with_span "conn.tier.flow" @@ fun () ->
     let flows =
       Pool.run_batched ?domains ?chunk
         ~arena:(fun () -> Dinic.of_csr flow_csr)
@@ -215,9 +238,34 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
       };
   }
 
-let estimate_ugraph ?domains ?chunk ?flow_budget ?strengths ~cap g =
+(* The canonical edge array, read off the frozen view: rows are sorted,
+   so walking them (keeping u < v when [upper]) yields ascending (u, v)
+   with no sort and no hashing. *)
+let csr_edges ~upper csr =
+  let off, dst, w = Csr.out_rows csr in
+  let m = if upper then Csr.m csr / 2 else Csr.m csr in
+  let edges = Array.make m (0, 0, 0.0) in
+  let k = ref 0 in
+  for u = 0 to Csr.n csr - 1 do
+    for j = off.(u) to off.(u + 1) - 1 do
+      let v = dst.(j) in
+      if (not upper) || u < v then begin
+        edges.(!k) <- (u, v, w.(j));
+        incr k
+      end
+    done
+  done;
+  edges
+
+let check_csr name n csr =
+  if Csr.n csr <> n then
+    invalid_arg (Printf.sprintf "Connectivity.%s: csr vertex count" name)
+
+let estimate_ugraph ?domains ?chunk ?flow_budget ?csr ?strengths ~cap g =
   let n = Ugraph.n g in
-  let edges = Importance.sorted_edges_ugraph g in
+  let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
+  check_csr "estimate_ugraph" n csr;
+  let edges = csr_edges ~upper:true csr in
   let strengths =
     match strengths with
     | Some s -> s
@@ -227,21 +275,21 @@ let estimate_ugraph ?domains ?chunk ?flow_budget ?strengths ~cap g =
      run on the NI sparse certificate — a weighted subgraph with
      O(rounds·n) edges preserving min(λ, rounds) — so per-query flow cost
      is independent of the source density. *)
-  let tri_rows = rows_of_csr ~symmetric:true (Csr.of_ugraph g) in
   let flow_csr = Csr.of_ugraph (Strength.certificate strengths g) in
   let ni i =
     let u, v, _ = edges.(i) in
     float_of_int (Strength.index strengths u v)
   in
-  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni ~tri_rows
+  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni ~tri_csr:csr
     ~flow_csr ()
 
 let estimate_digraph ?domains ?chunk ?flow_budget ?csr ?strengths ?(beta = 1.0)
     ~cap g =
   if beta < 1.0 then invalid_arg "Connectivity.estimate_digraph: beta >= 1";
   let n = Digraph.n g in
-  let edges = Importance.sorted_edges_digraph g in
   let csr = match csr with Some c -> c | None -> Csr.of_digraph g in
+  check_csr "estimate_digraph" n csr;
+  let edges = csr_edges ~upper:false csr in
   let strengths =
     match strengths with
     | Some s -> s
@@ -259,6 +307,5 @@ let estimate_digraph ?domains ?chunk ?flow_budget ?csr ?strengths ?(beta = 1.0)
     let u, v, _ = edges.(i) in
     float_of_int (Strength.index strengths u v) /. (1.0 +. beta)
   in
-  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni
-    ~tri_rows:(rows_of_csr ~symmetric:false csr)
+  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni ~tri_csr:csr
     ~flow_csr:csr ()

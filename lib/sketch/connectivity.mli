@@ -12,7 +12,9 @@
     + the Nagamochi–Ibaraki {!Strength} index (divided by (1+β) on
       β-balanced digraphs);
     + a common-neighbour bound (direct edge + one edge-disjoint two-hop
-      path per shared neighbour, a sorted-row merge);
+      path per shared neighbour), computed in fixed blocks of edges over
+      {!Dcs_util.Pool.run_batched}, each worker domain scattering
+      source rows into one dense length-n row and walking target rows;
     + exact Dinic max-flow capped at [cap] — batched over
       {!Dcs_util.Pool.run_batched} with one reusable residual network per
       worker domain (built once, reset between queries), run
@@ -25,8 +27,9 @@
     pins every keep probability at 1 and nothing is dropped; keep
     probabilities bottom out at ρ/cap (the samplers default to 16·ρ).
 
-    Estimates are a pure function of graph content (canonical edge order,
-    pure per-index flow tasks): byte-identical for every domain count.
+    Estimates are a pure function of graph content (canonical edge order
+    read off the frozen view, pure per-index merge and flow tasks):
+    byte-identical for every domain count.
     Strength/certificate tiers count rounded integer multiplicities, so
     on graphs with sub-unit fractional weights tiers 2–4 can overshoot
     the (un-rounded) connectivity by the rounding; with weights >= 1 in
@@ -50,11 +53,14 @@ val estimate_ugraph :
   ?domains:int ->
   ?chunk:int ->
   ?flow_budget:int ->
+  ?csr:Dcs_graph.Csr.t ->
   ?strengths:Strength.t ->
   cap:float ->
   Dcs_graph.Ugraph.t ->
   t
-(** λ̂ for every undirected edge (u < v). [strengths] reuses a
+(** λ̂ for every undirected edge (u < v). [csr] reuses a frozen view of
+    [g] (it must match [g]; omitted, one is frozen here) — the
+    common-neighbour tier and the canonical edge order read it. [strengths] reuses a
     precomputed NI decomposition (its {!Strength.certificate} is the flow
     graph, so estimates are sharp at [cap] when it ran for at least [cap]
     rounds — the default computes exactly that many); [flow_budget]

@@ -55,7 +55,15 @@ let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget
   in
   let conn =
     match connectivity with
-    | Some conn -> conn
+    | Some conn ->
+        if
+          Connectivity.n conn <> Digraph.n g
+          || Array.length (Connectivity.edges conn) <> Digraph.m g
+        then
+          invalid_arg
+            "Directed_sparsifier.connectivity_sparsify: connectivity is for \
+             another graph";
+        conn
     | None ->
         (* The cap must sit well above ρ: estimates saturate at the cap,
            and p = ρ/λ̂, so cap = ρ would pin every p at 1 and sparsify

@@ -70,7 +70,8 @@ val connectivity_sparsify :
     ceiling (default 16·ρ): estimates saturate there, so it must exceed
     ρ for anything to be dropped — at [cap = ρ] every p is 1 — and
     keep probabilities bottom out at ρ/cap. [connectivity] reuses
-    precomputed estimates (must come from this graph; its own cap then
+    precomputed estimates (must come from this graph — [Invalid_argument]
+    when their vertex or edge count differs from [g]'s; its own cap then
     governs). Sharper λ̂ than the strength indices is the point:
     strength-1 tree edges inside dense regions get their true (large) λ
     and stop being kept with probability 1, which is where the

@@ -19,13 +19,6 @@ val expected_edges_ugraph :
 val expected_edges_digraph :
   prob:(int -> int -> float -> float) -> Dcs_graph.Digraph.t -> float
 
-val sorted_edges_ugraph : Dcs_graph.Ugraph.t -> (int * int * float) array
-(** Edges (u < v) in ascending (u, v) order — the canonical iteration
-    order every sampler here consumes its PRNG stream in, exposed so other
-    samplers can pin the same order. *)
-
-val sorted_edges_digraph : Dcs_graph.Digraph.t -> (int * int * float) array
-
 val binomial_keep :
   Dcs_util.Prng.t -> p:float -> w:float -> float option
 (** Binomial weight resampling (the resampling step of CCPS21's compress):

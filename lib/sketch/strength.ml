@@ -1,13 +1,53 @@
 module Ugraph = Dcs_graph.Ugraph
+module Trace = Dcs_obs_core.Trace
 
+(* Edges live in flat arrays in ascending (u, v) order, u < v: edge i has
+   lower endpoint u for off.(u) <= i < off.(u+1) and upper endpoint
+   dst.(i), and its index and forest count sit in the aligned int arrays.
+   No hashing anywhere, and every walk is in canonical order. *)
 type t = {
-  idx : (int * int, int) Hashtbl.t;  (* key has u < v *)
-  cons : (int * int, int) Hashtbl.t; (* forests that used the edge (<= idx) *)
   n : int;
   rounds : int;
+  off : int array;  (* length n+1 *)
+  dst : int array;
+  idx : int array;
+  cons : int array; (* forests that used the edge (<= idx) *)
 }
 
-let key u v = if u < v then (u, v) else (v, u)
+(* The edges of [g] as rows by lower endpoint, each row sorted: a fill
+   grouped by upper endpoint (walked in increasing order, so each group
+   lists its lower endpoints in hashtable order) and a counting transpose
+   back by increasing upper endpoint. Returns (off, dst, w). *)
+let upper_rows g =
+  let n = Ugraph.n g and m = Ugraph.m g in
+  let goff = Array.make (n + 1) 0 and off = Array.make (n + 1) 0 in
+  let gsrc = Array.make m 0 and gw = Array.make m 0.0 in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    Ugraph.iter_neighbors g v (fun u w ->
+        if u < v then begin
+          gsrc.(!k) <- u;
+          gw.(!k) <- w;
+          off.(u + 1) <- off.(u + 1) + 1;
+          incr k
+        end);
+    goff.(v + 1) <- !k
+  done;
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  let dst = Array.make m 0 and w = Array.make m 0.0 in
+  let cur = Array.sub off 0 (max 1 n) in
+  for v = 0 to n - 1 do
+    for j = goff.(v) to goff.(v + 1) - 1 do
+      let u = gsrc.(j) in
+      let i = cur.(u) in
+      cur.(u) <- i + 1;
+      dst.(i) <- v;
+      w.(i) <- gw.(j)
+    done
+  done;
+  (off, dst, w)
 
 (* Union-find used per forest round. *)
 let rec find parent x =
@@ -19,88 +59,103 @@ let rec find parent x =
 
 let compute ?(max_rounds = 512) g =
   if max_rounds < 1 then invalid_arg "Strength.compute: max_rounds";
+  Trace.with_span "strength.compute" @@ fun () ->
   let n = Ugraph.n g in
-  let idx = Hashtbl.create (2 * Ugraph.m g) in
-  (* Remaining multiplicity per live edge. *)
-  let live = Hashtbl.create (2 * Ugraph.m g) in
-  Ugraph.iter_edges g (fun u v w ->
-      let mult = max 1 (int_of_float (Float.round w)) in
-      Hashtbl.replace live (key u v) mult);
-  (* Forest construction is greedy, so the edge order decides which edges
-     each spanning forest grabs. Iterating [live] directly would make the
-     strength indices depend on hashtable history; walking a sorted edge
-     array makes them a pure function of graph content — required for
-     streamed-and-compacted graphs to sample identically to batch ones. *)
-  let all_edges =
-    let a = Array.make (Hashtbl.length live) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun e _ ->
-        a.(!i) <- e;
-        incr i)
-      live;
-    Array.sort compare a;
-    a
-  in
-  let round = ref 0 in
-  let cons = Hashtbl.create (2 * Ugraph.m g) in
-  while Hashtbl.length live > 0 && !round < max_rounds do
-    incr round;
-    let parent = Array.init n (fun i -> i) in
-    let used = ref [] in
-    Array.iter
-      (fun (u, v) ->
-        if Hashtbl.mem live (u, v) then begin
-          let ru = find parent u and rv = find parent v in
-          if ru <> rv then begin
-            parent.(ru) <- rv;
-            used := (u, v) :: !used
-          end
-        end)
-      all_edges;
-    List.iter
-      (fun e ->
-        Hashtbl.replace cons e
-          (1 + Option.value (Hashtbl.find_opt cons e) ~default:0);
-        let mult = Hashtbl.find live e in
-        if mult <= 1 then begin
-          Hashtbl.remove live e;
-          Hashtbl.replace idx e !round
-        end
-        else Hashtbl.replace live e (mult - 1))
-      !used
+  let off, dst, w = upper_rows g in
+  let m = Array.length dst in
+  let src = Array.make m 0 in
+  for u = 0 to n - 1 do
+    Array.fill src off.(u) (off.(u + 1) - off.(u)) u
   done;
-  (* Edges still alive are at least max_rounds-connected (or were never
-     reached because the forest construction stalled on multiplicity). *)
-  Hashtbl.iter (fun e _ -> Hashtbl.replace idx e !round) live;
-  { idx; cons; n; rounds = !round }
+  (* Remaining multiplicity per edge; [live] lists the edges with some
+     left, ascending. *)
+  let rem = Array.map (fun x -> max 1 (int_of_float (Float.round x))) w in
+  let idx = Array.make m 0 and cons = Array.make m 0 in
+  let live = Array.init m Fun.id and nlive = ref m in
+  let used = Array.make (max 1 n) 0 in
+  let parent = Array.make n 0 in
+  let round = ref 0 in
+  (* Forest construction is greedy, so the edge order decides which edges
+     each spanning forest grabs. Walking the live edges in ascending
+     (u, v) order makes the strength indices a pure function of graph
+     content — required for streamed-and-compacted graphs to sample
+     identically to batch ones. A round's forest is chosen from the edges
+     live at its start; its uses are charged after the walk. *)
+  while !nlive > 0 && !round < max_rounds do
+    incr round;
+    for x = 0 to n - 1 do
+      parent.(x) <- x
+    done;
+    let nused = ref 0 in
+    for k = 0 to !nlive - 1 do
+      let i = live.(k) in
+      let ru = find parent src.(i) and rv = find parent dst.(i) in
+      if ru <> rv then begin
+        parent.(ru) <- rv;
+        used.(!nused) <- i;
+        incr nused
+      end
+    done;
+    let exhausted = ref false in
+    for k = 0 to !nused - 1 do
+      let i = used.(k) in
+      cons.(i) <- cons.(i) + 1;
+      rem.(i) <- rem.(i) - 1;
+      if rem.(i) = 0 then begin
+        idx.(i) <- !round;
+        exhausted := true
+      end
+    done;
+    if !exhausted then begin
+      let j = ref 0 in
+      for k = 0 to !nlive - 1 do
+        let i = live.(k) in
+        if rem.(i) > 0 then begin
+          live.(!j) <- i;
+          incr j
+        end
+      done;
+      nlive := !j
+    end
+  done;
+  (* Edges still alive are at least max_rounds-connected. *)
+  for k = 0 to !nlive - 1 do
+    idx.(live.(k)) <- !round
+  done;
+  { n; rounds = !round; off; dst; idx; cons }
 
+let not_an_edge u v =
+  invalid_arg (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v)
+
+(* Binary search of row min(u, v) for max(u, v). *)
 let index t u v =
-  match Hashtbl.find_opt t.idx (key u v) with
-  | Some i -> i
-  | None ->
-      invalid_arg (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v)
+  let a = min u v and b = max u v in
+  if a < 0 || b >= t.n || a = b then not_an_edge u v;
+  let lo = ref t.off.(a) and hi = ref (t.off.(a + 1) - 1) in
+  let found = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let d = t.dst.(mid) in
+    if d = b then begin
+      found := mid;
+      lo := !hi + 1
+    end
+    else if d < b then lo := mid + 1
+    else hi := mid - 1
+  done;
+  if !found < 0 then not_an_edge u v;
+  t.idx.(!found)
 
 let rounds_used t = t.rounds
 
-(* Sorted-key iteration: hashtable order depends on insertion history, and
-   every consumer of these indices (samplers, certificates, stage
-   artifacts) is under the byte-identity contract. *)
-let sorted_keys (tbl : (int * int, int) Hashtbl.t) =
-  let a = Array.make (Hashtbl.length tbl) (0, 0) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun e _ ->
-      a.(!i) <- e;
-      incr i)
-    tbl;
-  Array.sort compare a;
-  a
-
 let fold f t init =
-  Array.fold_left
-    (fun acc (u, v) -> f u v (Hashtbl.find t.idx (u, v)) acc)
-    init (sorted_keys t.idx)
+  let acc = ref init in
+  for u = 0 to t.n - 1 do
+    for i = t.off.(u) to t.off.(u + 1) - 1 do
+      acc := f u t.dst.(i) t.idx.(i) !acc
+    done
+  done;
+  !acc
 
 (* The Nagamochi–Ibaraki sparse certificate. The forest rounds of [compute]
    are maximal spanning forests of the not-yet-exhausted edges, so the
@@ -115,12 +170,15 @@ let fold f t init =
 let certificate t g =
   if Ugraph.n g <> t.n then invalid_arg "Strength.certificate: vertex count";
   let h = Ugraph.create t.n in
-  Array.iter
-    (fun (u, v) ->
-      let uses = float_of_int (Hashtbl.find t.cons (u, v)) in
-      let w = Float.min uses (Ugraph.weight g u v) in
-      if w > 0.0 then Ugraph.add_edge h u v w)
-    (sorted_keys t.cons);
+  for u = 0 to t.n - 1 do
+    for i = t.off.(u) to t.off.(u + 1) - 1 do
+      if t.cons.(i) > 0 then begin
+        let v = t.dst.(i) in
+        let w = Float.min (float_of_int t.cons.(i)) (Ugraph.weight g u v) in
+        if w > 0.0 then Ugraph.add_edge h u v w
+      end
+    done
+  done;
   h
 
 let min_index t = fold (fun _ _ i acc -> min i acc) t max_int

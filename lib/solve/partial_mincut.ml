@@ -10,7 +10,9 @@ module Dinic = Dcs_mincut.Dinic
 module Connectivity = Dcs_sketch.Connectivity
 module Importance = Dcs_sketch.Importance
 module Directed_sparsifier = Dcs_sketch.Directed_sparsifier
+module Pool = Dcs_util.Pool
 module Metrics = Dcs_obs_core.Metrics
+module Trace = Dcs_obs_core.Trace
 
 (* Sparsify-then-solve (Cen–Li–Nanongkai et al., partial sparsification):
    run the minimum-cut solver on a connectivity-sampled sparsifier H —
@@ -52,8 +54,23 @@ let rho_ugraph ?(c = 2.0) ~eps ~n () =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Partial_mincut: eps in (0,1)";
   c *. log (float_of_int (max 2 n)) /. (eps *. eps)
 
+(* A [~connectivity] from another graph would sample H from the wrong
+   edges, and certify would then vouch for a real cut of [g] that need not
+   be minimal: the estimates must at least cover [g]'s vertices and edges.
+   ([st_mincut]'s estimates are checked the same way by
+   [Directed_sparsifier.connectivity_sparsify].) *)
+let check_connectivity conn g =
+  if
+    Connectivity.n conn <> Ugraph.n g
+    || Array.length (Connectivity.edges conn) <> Ugraph.m g
+  then invalid_arg "Partial_mincut.sparsify: connectivity is for another graph"
+
+(* Edges per sampling task: fixed, so [pool.tasks] is deterministic. *)
+let coin_block = 1024
+
 let sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
-    rng ~eps g =
+    ?csr rng ~eps g =
+  Trace.with_span "partial.sparsify" @@ fun () ->
   let n = Ugraph.n g in
   let rho =
     match rho_opt with
@@ -64,24 +81,40 @@ let sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
   in
   let conn =
     match connectivity with
-    | Some conn -> conn
+    | Some conn ->
+        check_connectivity conn g;
+        conn
     | None ->
         (* Estimates saturate at the cap and p = ρ/λ̂, so the cap must
            exceed ρ for any edge to be dropped; the default lets keep
            probabilities fall to 1/16. *)
         let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_ugraph ?domains ?chunk ?flow_budget ~cap g
+        Connectivity.estimate_ugraph ?domains ?chunk ?flow_budget ?csr ~cap g
   in
+  (* Every edge draws its coins from its own [Prng.split master i] stream,
+     so the pooled pass is scheduling-free; survivors are inserted in index
+     order afterwards (a kept weight is always positive, 0 marks a drop). *)
   let master = Prng.fork rng in
+  let edges = Connectivity.edges conn in
+  let m = Array.length edges in
+  let kept = Array.make m 0.0 in
+  ignore
+    (Pool.run_batched ?domains ~chunk:1
+       ~arena:(fun () -> ())
+       ~n:((m + coin_block - 1) / coin_block)
+       (fun () blk ->
+         for i = blk * coin_block to min m ((blk + 1) * coin_block) - 1 do
+           let _, _, w = edges.(i) in
+           let lam = Connectivity.lambda_at conn i in
+           let p = if lam <= 0.0 then 1.0 else rho /. lam in
+           match Importance.binomial_keep (Prng.split master i) ~p ~w with
+           | Some w' -> kept.(i) <- w'
+           | None -> ()
+         done));
   let h = Ugraph.create n in
   Array.iteri
-    (fun i (u, v, w) ->
-      let lam = Connectivity.lambda_at conn i in
-      let p = if lam <= 0.0 then 1.0 else rho /. lam in
-      match Importance.binomial_keep (Prng.split master i) ~p ~w with
-      | Some w' -> Ugraph.add_edge h u v w'
-      | None -> ())
-    (Connectivity.edges conn);
+    (fun i (u, v, _) -> if kept.(i) > 0.0 then Ugraph.add_edge h u v kept.(i))
+    edges;
   (h, conn)
 
 let solve_dense ?domains ?chunk rng ~solver g =
@@ -100,7 +133,8 @@ let mincut ?domains ?chunk ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
   Metrics.inc m_solves;
   let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
   let h, conn =
-    sparsify ?c ?rho ?cap ?domains ?chunk ?flow_budget ?connectivity rng ~eps g
+    sparsify ?c ?rho ?cap ?domains ?chunk ?flow_budget ?connectivity ~csr rng
+      ~eps g
   in
   let sparse_rng = Prng.fork rng in
   let fallback_rng = Prng.fork rng in
@@ -119,13 +153,18 @@ let mincut ?domains ?chunk ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
     let value, cut = solve_dense ?domains ?chunk fallback_rng ~solver g in
     { value; cut; stats = stats ~sparse_value ~certified:false ~fell_back:true }
   in
-  match solve_dense ?domains ?chunk sparse_rng ~solver h with
+  match
+    Trace.with_span "partial.solve" (fun () ->
+        solve_dense ?domains ?chunk sparse_rng ~solver h)
+  with
   | exception Invalid_argument _ ->
       (* Sampling can disconnect H (binomial zero on a weak edge); the
          dense path answers. *)
       fall_back ~sparse_value:nan
   | sparse_value, cut ->
-      let exact = Csr.cut_value csr cut in
+      let exact =
+        Trace.with_span "partial.certify" (fun () -> Csr.cut_value csr cut)
+      in
       if certifies ~eps ~exact ~sparse:sparse_value then begin
         Metrics.inc m_certified;
         {
@@ -156,8 +195,9 @@ let st_mincut ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
           ~cap g
   in
   let h =
-    Directed_sparsifier.connectivity_sparsify ~rho ~connectivity:conn rng ~eps
-      ~beta g
+    Trace.with_span "partial.sparsify" (fun () ->
+        Directed_sparsifier.connectivity_sparsify ~rho ~connectivity:conn rng
+          ~eps ~beta g)
   in
   let stats ~sparse_value ~certified ~fell_back =
     {
@@ -169,8 +209,14 @@ let st_mincut ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
       fell_back;
     }
   in
-  let sparse_value, side = Dinic.mincut_side (Dinic.of_digraph h) ~s ~t:sink in
-  let exact = Csr.cut_weight csr (Cut.mem side) in
+  let sparse_value, side =
+    Trace.with_span "partial.solve" (fun () ->
+        Dinic.mincut_side (Dinic.of_digraph h) ~s ~t:sink)
+  in
+  let exact =
+    Trace.with_span "partial.certify" (fun () ->
+        Csr.cut_weight csr (Cut.mem side))
+  in
   if certifies ~eps ~exact ~sparse:sparse_value then begin
     Metrics.inc m_certified;
     {

@@ -47,18 +47,23 @@ val sparsify :
   ?chunk:int ->
   ?flow_budget:int ->
   ?connectivity:Dcs_sketch.Connectivity.t ->
+  ?csr:Dcs_graph.Csr.t ->
   Dcs_util.Prng.t ->
   eps:float ->
   Dcs_graph.Ugraph.t ->
   Dcs_graph.Ugraph.t * Dcs_sketch.Connectivity.t
 (** Connectivity-sampled undirected sparsifier: p = min(1, ρ/λ̂) with λ̂
     from {!Connectivity.estimate_ugraph}, binomial weight resampling,
-    one [Prng.split] stream per edge in canonical order (byte-identical
-    for every domain count). Returns the sparsifier and the estimates it
+    one [Prng.split] stream per edge in canonical order, drawn in fixed
+    blocks over {!Dcs_util.Pool.run_batched} (byte-identical for every
+    domain count). Returns the sparsifier and the estimates it
     sampled from. [rho] overrides {!rho_ugraph}; [cap] is the estimation
     ceiling (default 16·ρ — it must exceed ρ for anything to be
     dropped, since estimates saturate there and p = ρ/λ̂);
-    [connectivity] reuses estimates (must be from this graph). *)
+    [connectivity] reuses estimates, which must be from this graph:
+    [Invalid_argument] when their vertex or edge count differs from
+    [g]'s. [csr] is a frozen view of [g] the estimation reads instead of
+    freezing its own (unused when [connectivity] is given). *)
 
 val mincut :
   ?domains:int ->
@@ -76,7 +81,8 @@ val mincut :
   result
 (** Global minimum cut through {!sparsify} + [solver] + certify/repair.
     [csr] reuses an existing frozen view of the input graph for
-    certification (it must match [g]); omitted, one is frozen here.
+    certification and λ̂ estimation (it must match [g]); omitted, one is
+    frozen here — either way [g] is frozen at most once.
     Note Stoer–Wagner's O(n³) does not shrink with the edge count — pair
     it with this driver for certification value, not speed; the
     contraction solvers (Karger, Karger–Stein) are the fast path. *)
@@ -101,4 +107,6 @@ val st_mincut :
     use case), certified against the original digraph's frozen view and
     repaired to the exact directed weight; dense Dinic on violation.
     [beta] is the graph's cut-balance promise, as everywhere in the
-    directed samplers. *)
+    directed samplers. A [connectivity] whose vertex or edge count differs
+    from [g]'s raises [Invalid_argument] (from
+    {!Directed_sparsifier.connectivity_sparsify}). *)

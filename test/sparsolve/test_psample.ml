@@ -85,6 +85,51 @@ let test_rho_validation () =
     (Invalid_argument "Partial_mincut: eps in (0,1)") (fun () ->
       ignore (Partial_mincut.rho_ugraph ~eps:1.5 ~n:10 ()))
 
+(* Estimates for another graph must be refused, not sampled from: H would
+   be drawn from the wrong edges and certify would vouch for a cut of g
+   that need not be minimal. Same vertex count with a different edge
+   count, and a different vertex count, both raise — at every entry point. *)
+let test_foreign_connectivity_rejected () =
+  let g = ugraph 19 ~n:30 ~p:0.4 ~max_weight:4 in
+  let other = ugraph 20 ~n:30 ~p:0.2 ~max_weight:4 in
+  let smaller = ugraph 21 ~n:20 ~p:0.4 ~max_weight:4 in
+  assert (Ugraph.m other <> Ugraph.m g);
+  let err =
+    Invalid_argument "Partial_mincut.sparsify: connectivity is for another graph"
+  in
+  List.iter
+    (fun h ->
+      let conn = Connectivity.estimate_ugraph ~flow_budget:4 ~cap:32.0 h in
+      Alcotest.check_raises "sparsify" err (fun () ->
+          ignore
+            (Partial_mincut.sparsify ~rho:4.0 ~connectivity:conn (Prng.create 1)
+               ~eps:0.5 g));
+      Alcotest.check_raises "mincut" err (fun () ->
+          ignore
+            (Partial_mincut.mincut ~rho:4.0 ~connectivity:conn (Prng.create 1)
+               ~eps:0.5 ~solver:Partial_mincut.Stoer_wagner g)))
+    [ other; smaller ];
+  Alcotest.check_raises "frozen view of another graph"
+    (Invalid_argument "Connectivity.estimate_ugraph: csr vertex count")
+    (fun () ->
+      ignore
+        (Connectivity.estimate_ugraph ~csr:(Csr.of_ugraph smaller) ~cap:32.0 g));
+  let dg = Generators.balanced_digraph (Prng.create 22) ~n:20 ~p:0.4 ~beta:2.0 ~max_weight:4.0 in
+  let dother = Generators.balanced_digraph (Prng.create 23) ~n:20 ~p:0.2 ~beta:2.0 ~max_weight:4.0 in
+  let dconn = Connectivity.estimate_digraph ~flow_budget:4 ~beta:2.0 ~cap:32.0 dother in
+  let derr =
+    Invalid_argument
+      "Directed_sparsifier.connectivity_sparsify: connectivity is for another graph"
+  in
+  Alcotest.check_raises "st_mincut" derr (fun () ->
+      ignore
+        (Partial_mincut.st_mincut ~rho:4.0 ~connectivity:dconn (Prng.create 1)
+           ~eps:0.5 ~beta:2.0 ~s:0 ~t:1 dg));
+  Alcotest.check_raises "connectivity_sparsify" derr (fun () ->
+      ignore
+        (Directed_sparsifier.connectivity_sparsify ~rho:4.0 ~connectivity:dconn
+           (Prng.create 1) ~eps:0.5 ~beta:2.0 dg))
+
 let suite =
   [
     Alcotest.test_case "cap <= rho is the identity" `Quick
@@ -96,4 +141,6 @@ let suite =
     Alcotest.test_case "planted cut kept exactly" `Quick
       test_planted_cut_kept_exactly;
     Alcotest.test_case "parameter validation" `Quick test_rho_validation;
+    Alcotest.test_case "foreign connectivity rejected" `Quick
+      test_foreign_connectivity_rejected;
   ]

@@ -84,6 +84,21 @@ let test_st_identity_certifies () =
     "H = G edge count" (Digraph.m g)
     r.Partial_mincut.stats.Partial_mincut.m_sparse
 
+(* The default path freezes g once, for both the λ̂ estimates and certify.
+   The other two freezes are of other graphs: the NI certificate the flows
+   run on, and H inside the solver. (Four when certify and the estimator
+   each froze g.) *)
+let test_default_path_freezes_once () =
+  let g = planted ~block:30 ~k:3 25 in
+  let builds = Obs.Metrics.counter "csr.builds" in
+  let before = Obs.Metrics.counter_value builds in
+  ignore
+    (Partial_mincut.mincut ~rho:8.0 ~flow_budget:8 (Prng.create 3) ~eps:0.4
+       ~solver:(Partial_mincut.Karger { trials = 16 })
+       g);
+  Alcotest.(check int) "g, certificate and H frozen once each" 3
+    (Obs.Metrics.counter_value builds - before)
+
 let suite =
   [
     Alcotest.test_case "certified equals dense on planted" `Quick
@@ -92,4 +107,6 @@ let suite =
       test_forced_fallback_repairs;
     Alcotest.test_case "solver routing sound" `Quick test_solver_routing_sound;
     Alcotest.test_case "s-t identity certifies" `Quick test_st_identity_certifies;
+    Alcotest.test_case "default path freezes g once" `Quick
+      test_default_path_freezes_once;
   ]

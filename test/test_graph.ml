@@ -262,6 +262,73 @@ let prop_csr_of_ugraph_cut_value =
       && Csr.fingerprint sym = Csr.fingerprint dir
       && sweep sym = sweep dir)
 
+(* Freeze oracle: the counting-transpose freeze must produce exactly the
+   arrays of the plain formulation kept here — gather each row, sort it by
+   endpoint — in both directions, for directed and symmetric views. *)
+let sorted_freeze n arcs =
+  let rows = Array.make n [] in
+  List.iter (fun (u, v, w) -> rows.(u) <- (v, w) :: rows.(u)) arcs;
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) rows;
+  let flat =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun l ->
+              let a = Array.of_list l in
+              Array.stable_sort (fun (a, _) (b, _) -> compare a b) a;
+              a)
+            rows))
+  in
+  (off, Array.map fst flat, Array.map snd flat)
+
+let same_rows (off, dst, w) (off', dst', w') =
+  off = off' && dst = dst'
+  && Array.map Int64.bits_of_float w = Array.map Int64.bits_of_float w'
+
+(* Vertices [n-2, n) stay isolated; weights are thirds, so fractional. *)
+let freeze_oracle_graphs rng n =
+  let d = Digraph.create n and u = Ugraph.create n in
+  for a = 0 to n - 3 do
+    for b = 0 to n - 3 do
+      if a <> b && Prng.float rng 1.0 < 0.4 then begin
+        let w = float_of_int (1 + Prng.int rng 9) /. 3.0 in
+        Digraph.add_edge d a b w;
+        if a < b then Ugraph.add_edge u a b w
+      end
+    done
+  done;
+  (d, u)
+
+let freeze_matches_sorted_reference n rng =
+  let d, u = freeze_oracle_graphs rng n in
+  let darcs = Digraph.fold_edges (fun a b w acc -> (a, b, w) :: acc) d [] in
+  let uarcs =
+    Ugraph.fold_edges (fun a b w acc -> (a, b, w) :: (b, a, w) :: acc) u []
+  in
+  let flip = List.map (fun (a, b, w) -> (b, a, w)) in
+  let cd = Csr.of_digraph d and cu = Csr.of_ugraph u in
+  same_rows (Csr.out_rows cd) (sorted_freeze n darcs)
+  && same_rows (Csr.out_rows (Csr.reverse cd)) (sorted_freeze n (flip darcs))
+  && same_rows (Csr.out_rows (Csr.reverse (Csr.reverse cd))) (Csr.out_rows cd)
+  && same_rows (Csr.out_rows cu) (sorted_freeze n uarcs)
+  && same_rows (Csr.out_rows (Csr.reverse cu)) (sorted_freeze n uarcs)
+
+let test_csr_freeze_oracle_edge_cases () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d" n) true
+        (freeze_matches_sorted_reference n (Prng.create n)))
+    [ 0; 1; 2; 3 ]
+
+let prop_csr_freeze_matches_sorted_reference =
+  QCheck.Test.make ~name:"CSR freeze = sort-based reference" ~count:60
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      freeze_matches_sorted_reference (Prng.int rng 40) rng)
+
 (* Incremental maintenance: after any flip sequence, seed + Σ deltas equals
    a from-scratch evaluation, bit for bit (integer weights). *)
 let prop_csr_cut_delta_flip_sequence =
@@ -689,6 +756,8 @@ let suite =
     Alcotest.test_case "csr: reverse" `Quick test_csr_reverse;
     Alcotest.test_case "csr: cut_delta hand example" `Quick test_csr_cut_delta_hand;
     Alcotest.test_case "csr: validation" `Quick test_csr_validation;
+    Alcotest.test_case "csr: freeze oracle, tiny graphs" `Quick
+      test_csr_freeze_oracle_edge_cases;
     Alcotest.test_case "cut: construction" `Quick test_cut_construction;
     Alcotest.test_case "cut: complement/proper" `Quick test_cut_complement;
     Alcotest.test_case "cut: union" `Quick test_cut_union;
@@ -739,4 +808,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_reverse_matches_digraph_reverse;
     QCheck_alcotest.to_alcotest prop_csr_of_ugraph_cut_value;
     QCheck_alcotest.to_alcotest prop_csr_cut_delta_flip_sequence;
+    QCheck_alcotest.to_alcotest prop_csr_freeze_matches_sorted_reference;
   ]

@@ -177,9 +177,15 @@ let test_strength_weighted_multiplicity () =
 let test_strength_not_found () =
   let g = Generators.path ~n:4 in
   let s = Strength.compute g in
-  Alcotest.check_raises "non-edge"
-    (Invalid_argument "Strength.index: (0, 3) is not an edge") (fun () ->
-      ignore (Strength.index s 0 3))
+  (* A missing pair in either order, a self-pair, and vertices out of
+     range all name the pair as given. *)
+  List.iter
+    (fun (u, v) ->
+      Alcotest.check_raises "non-edge"
+        (Invalid_argument
+           (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v))
+        (fun () -> ignore (Strength.index s u v)))
+    [ (0, 3); (3, 0); (2, 2); (-1, 0); (3, 4) ]
 
 let test_strength_fold_sorted () =
   let rng = Prng.create 31 in
