@@ -16,24 +16,26 @@
      strictly smaller worst error over the same 30 random cuts. Enforced
      in the report closure, so warm (cached) runs re-verify it.
 
-   - speed: end-to-end sparsify-then-solve (NI strengths -> tier-chain
-     estimates -> binomial resampling -> Karger on the sparsifier ->
-     certify against the frozen CSR) vs the dense solver at the same
-     trial count, on a planted two-block instance (n = 1000, ~150k
-     weighted edges, two cross edges), freezing the input once for both
-     the estimates and certify. Floor: >= 3x wall-clock, enforced
-     inside the stage on every cold run — an anti-regression floor sized
-     for 1-core hosts (measured ~4x; the speedup is algorithmic, edges
-     solved shrink ~6.6x, so it does not depend on parallelism). Beside
-     it, a work-count check that cannot flake: the sparsifier keeps at
-     most m/5 edges and the exact tier runs within its flow budget. The
-     planted cut's edges have lambda-hat below rho, so they ride through
-     sampling at p = 1 and certification holds by construction (see the
-     s_* comment below). Figures go to stderr; the artifact carries
-     only deterministic values, so the table is byte-identical across
-     DCS_DOMAINS and warm/cold cache runs. The sparse pipeline is also
-     re-run at explicit domain counts 1/2/4 and its (value, cut, kept
-     edges, certification) must be identical — scheduling must leak into
+   - speed: the end-to-end sparse pipeline (NI strengths -> tier-chain
+     estimates -> Partial_mincut.mincut, whose exact path contracts every
+     edge lambda-hat proves uncuttable and solves the quotient with
+     Stoer–Wagner) vs the dense solver at the same trial count, on a
+     planted two-block instance (n = 1000, ~150k weighted edges, two
+     cross edges), freezing the input once for both the estimates and
+     the answer's weight. Floor: >= 3x wall-clock, enforced inside the
+     stage on every cold run — an anti-regression floor sized for 1-core
+     hosts (the speedup is algorithmic, so it does not depend on
+     parallelism). Beside it, a work-count check that cannot flake: the
+     exact path answers, on a quotient within its k³ <= max(8, m)
+     budget; the solver sees at most m/5 edges; and the exact tier runs
+     within its flow budget. (Were the path to decline, the planted
+     cut's edges have lambda-hat below rho, so they would ride through
+     sampling at p = 1 and certification would hold by construction;
+     see the s_* comment below.) Figures go to stderr; the artifact
+     carries only deterministic values, so the table is byte-identical
+     across DCS_DOMAINS and warm/cold cache runs. The sparse pipeline is
+     also re-run at explicit domain counts 1/2/4 and its (value, cut,
+     solved edges, path) must be identical — scheduling must leak into
      nothing.
 
    - drivers: every solver routed through the certify/repair layer —
@@ -156,7 +158,9 @@ let quality_stage pl beta =
    joined by [s_k] light cross edges — the heterogeneous-connectivity
    regime connectivity sampling targets. In-block edges have local
    connectivity in the thousands (the triangle tier saturates at the
-   cap), so they are downsampled ~6x; the planted cut's edges have
+   cap), so the exact path contracts each block to one super-vertex
+   (k = 2) and reads the planted cut off the quotient. Were it to
+   decline, they would be downsampled ~6x; the planted cut's edges have
    λ̂ <= s_k·max_weight < ρ, so p = 1 and the minimum cut survives in H
    with its weight *exact* — certification then passes by construction
    rather than by seed luck. (On a homogeneous ER instance every cut is
@@ -174,8 +178,9 @@ let s_block = 500
 let s_k = 2
 
 (* The whole sparse pipeline, end to end — NI rounds, tier-chain
-   estimation, binomial resampling, Karger on the sparsifier, certify
-   against the frozen view — everything the dense side does not pay. *)
+   estimation, then Partial_mincut's exact λ̂ quotient (or, when that
+   declines, binomial resampling, Karger on the sparsifier and certify
+   against the frozen view) — everything the dense side does not pay. *)
 let sparse_pipeline ?domains rng g =
   let csr = Csr.of_ugraph g in
   let strengths = Strength.compute ~max_rounds:s_rounds g in
@@ -202,18 +207,36 @@ let enforce_speed_floor ~dense_s ~sparse_s ~m ~m' =
           cores) — anti-regression floor"
          sp s_trials cores)
 
-(* The work counts behind the speed floor, which cannot flake: the
-   solver sees at most a fifth of the edges, and the exact tier stays
+(* The work counts behind the speed floor, which cannot flake: the exact
+   path answers, on a quotient within its k³ <= max(8, m) budget; the
+   solver sees at most a fifth of the edges; and the exact tier stays
    within its flow budget. *)
-let enforce_work_counts ~m ~m' ~flows =
+let enforce_work_counts ~m (st : Partial_mincut.stats) =
+  let k = st.Partial_mincut.quotient_k and m' = st.Partial_mincut.m_sparse in
+  if st.Partial_mincut.path <> Partial_mincut.Exact then
+    failwith "E24: the speed instance was not answered by the exact path";
+  if k * k * k > max 8 m then
+    failwith (Printf.sprintf "E24: quotient of %d vertices over budget" k);
   if m' * 5 > m then
-    failwith (Printf.sprintf "E24: sparsifier kept %d of %d edges (> m/5)" m' m);
+    failwith (Printf.sprintf "E24: solver saw %d of %d edges (> m/5)" m' m);
+  let flows = st.Partial_mincut.conn.Connectivity.flows in
   if flows > s_flow_budget then
     failwith
       (Printf.sprintf "E24: %d exact flows run, over the budget of %d" flows
          s_flow_budget)
 
-(* Artifact: (n, m, trials, dense value, result fields, m', flows,
+let path_label = function
+  | Partial_mincut.Exact -> "exact"
+  | Partial_mincut.Sampled -> "sampled"
+  | Partial_mincut.Dense Partial_mincut.H_unsolvable -> "dense (H unsolvable)"
+  | Partial_mincut.Dense Partial_mincut.Eps_violated -> "dense (eps violated)"
+
+let certified st = st.Partial_mincut.path = Partial_mincut.Sampled
+
+let fell_back st =
+  match st.Partial_mincut.path with Partial_mincut.Dense _ -> true | _ -> false
+
+(* Artifact: (n, m, trials, dense value, value, path, k, m', flows;
    identical across explicit domain counts). Wall clock stays on
    stderr. *)
 let speed_stage pl =
@@ -222,8 +245,8 @@ let speed_stage pl =
       ~p_inner:0.6 ~max_weight:6
   in
   let name = "sparsolve.speed" in
-  Sched.stage (P.dag pl) ~name ~fingerprint:(P.fp_of name) ~mode:Sched.Serial
-    ~codec:(Sched.marshal_codec ())
+  Sched.stage (P.dag pl) ~name ~version:"v2" ~fingerprint:(P.fp_of name)
+    ~mode:Sched.Serial ~codec:(Sched.marshal_codec ())
     ~deps:[ Sched.dep graph ]
     (fun () ->
       let g = P.value pl graph in
@@ -239,8 +262,7 @@ let speed_stage pl =
       let st = r.Partial_mincut.stats in
       enforce_speed_floor ~dense_s ~sparse_s ~m:(Ugraph.m g)
         ~m':st.Partial_mincut.m_sparse;
-      enforce_work_counts ~m:(Ugraph.m g) ~m':st.Partial_mincut.m_sparse
-        ~flows:st.Partial_mincut.conn.Connectivity.flows;
+      enforce_work_counts ~m:(Ugraph.m g) st;
       (* Scheduling must leak into nothing: the same pipeline at explicit
          domain counts returns the identical cut. *)
       let identical =
@@ -251,8 +273,8 @@ let speed_stage pl =
             && Cut.equal r'.Partial_mincut.cut r.Partial_mincut.cut
             && r'.Partial_mincut.stats.Partial_mincut.m_sparse
                = r.Partial_mincut.stats.Partial_mincut.m_sparse
-            && r'.Partial_mincut.stats.Partial_mincut.certified
-               = r.Partial_mincut.stats.Partial_mincut.certified)
+            && r'.Partial_mincut.stats.Partial_mincut.path
+               = r.Partial_mincut.stats.Partial_mincut.path)
           domain_grid
       in
       if not identical then
@@ -262,8 +284,8 @@ let speed_stage pl =
         s_trials,
         dense_v,
         r.Partial_mincut.value,
-        st.Partial_mincut.certified,
-        st.Partial_mincut.fell_back,
+        path_label st.Partial_mincut.path,
+        st.Partial_mincut.quotient_k,
         st.Partial_mincut.m_sparse,
         st.Partial_mincut.conn.Connectivity.flows ))
 
@@ -310,8 +332,8 @@ let drivers_stage pl =
           st.Partial_mincut.m_sparse,
           r.Partial_mincut.value,
           st.Partial_mincut.sparse_value,
-          st.Partial_mincut.certified,
-          st.Partial_mincut.fell_back )
+          certified st,
+          fell_back st )
       in
       let rows =
         [
@@ -329,7 +351,7 @@ let drivers_stage pl =
             (P.seed_rng (name ^ ".forced"))
             ~eps:d_eps ~solver:Partial_mincut.Stoer_wagner g
         in
-        if not r.Partial_mincut.stats.Partial_mincut.fell_back then
+        if not (fell_back r.Partial_mincut.stats) then
           failwith "E24: rho = 0.05 sparsifier escaped the certifier";
         if Float.abs (r.Partial_mincut.value -. exact) > 1e-9 then
           failwith "E24: fallback value differs from the dense solver";
@@ -338,8 +360,8 @@ let drivers_stage pl =
           st.Partial_mincut.m_sparse,
           r.Partial_mincut.value,
           st.Partial_mincut.sparse_value,
-          st.Partial_mincut.certified,
-          st.Partial_mincut.fell_back )
+          certified st,
+          fell_back st )
       in
       (* Directed s–t min-cut through the CCPS21 sampler + Dinic. *)
       let dg = P.value pl dgraph in
@@ -358,8 +380,8 @@ let drivers_stage pl =
           st.Partial_mincut.m_sparse,
           r.Partial_mincut.value,
           st.Partial_mincut.sparse_value,
-          st.Partial_mincut.certified,
-          st.Partial_mincut.fell_back )
+          certified st,
+          fell_back st )
       in
       (Ugraph.m g, exact, rows @ [ forced ], Digraph.m dg, dense_st, st_row))
 
@@ -426,16 +448,14 @@ let plan pl =
       "dense regions, plus binomial weight resampling (variance w(1-p)/p^2 vs";
     Common.note "w^2(1-p)/p whole-edge) are where the win comes from (cf. E12).";
     print_newline ();
-    let n, m, trials, dense_v, value, certified, fell_back, m', flows =
-      P.value pl speed
-    in
+    let n, m, trials, dense_v, value, path, k, m', flows = P.value pl speed in
     let t =
       Table.create
         ~title:"end-to-end min-cut: dense Karger vs sparsify-then-solve"
         ~columns:
           [
             "n"; "edges"; "solved edges"; "trials"; "dense value"; "value";
-            "certified"; "fell back"; "flows"; "d=1/2/4";
+            "path"; "k"; "flows"; "d=1/2/4";
           ]
     in
     Table.add_row t
@@ -446,28 +466,30 @@ let plan pl =
         Table.fint trials;
         Printf.sprintf "%g" dense_v;
         Printf.sprintf "%g" value;
-        Table.fbool certified;
-        Table.fbool fell_back;
+        path;
+        Table.fint k;
         Table.fint flows;
         "identical";
       ];
     Table.print t;
     Common.note
-      "floor: sparse pipeline (NI rounds + tier-chain estimates + binomial";
+      "floor: sparse pipeline (NI rounds + tier-chain estimates + the exact";
     Common.note
-      "resampling + Karger + certify) >= 3x faster end-to-end than the dense";
+      "lambda-hat quotient) >= 3x faster end-to-end than the dense solver at";
     Common.note
-      "solver at the same trial count — enforced on every cold run; the";
+      "the same trial count — enforced on every cold run; the speedup is";
     Common.note
-      "speedup is algorithmic (~6.6x fewer edges solved), so the floor holds";
+      "algorithmic, so the floor holds on 1-core hosts. Work-count check: the";
     Common.note
-      "on 1-core hosts. The instance is two dense blocks + 2 cross edges: the";
+      "exact path answers, on a quotient with k^3 <= max(8, m). The instance";
     Common.note
-      "planted cut's lambda-hat sits below rho, so sampling keeps it exactly";
+      "is two dense blocks + 2 cross edges: in-block edges saturate the";
     Common.note
-      "(p=1) and certification passes by construction; in-block edges saturate";
+      "triangle tier at the cap, so every edge with lambda-hat >= tau =";
     Common.note
-      "the triangle tier at the cap and carry the ~6.6x edge reduction.";
+      "min(U0, cap) contracts and each block becomes one super-vertex; the";
+    Common.note
+      "planted cut, below tau, is the quotient's only edge and is exact.";
     Common.note "Wall-clock figures on stderr only.";
     print_newline ();
     let um, exact, rows, dm, dense_st, st_row = P.value pl drivers in

@@ -1,4 +1,3 @@
-module Digraph = Dcs_graph.Digraph
 module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
 module Cut = Dcs_graph.Cut
@@ -17,23 +16,33 @@ type t = {
   arcs : int array;          (* position -> arc id *)
   head : int array;          (* arc -> destination *)
   cap : float array;         (* residual capacities, mutated by maxflow *)
-  cap0 : float array;        (* original capacities, for reset *)
+  fwd : float array;         (* arc 2k's original capacity, for reset *)
   level : int array;
   iter : int array;          (* vertex -> current position during a phase *)
+  queue : int array;         (* BFS queue: each vertex enters at most once *)
 }
 
 let eps = 1e-12
 
-let build n arc_list =
-  let m = List.length arc_list in
+(* The network straight off the frozen arc arrays: the k-th stored arc
+   (u, v) — rows ascending, endpoints ascending within a row — becomes arc
+   2k (u -> v, capacity [unit] or its weight) and its residual twin 2k+1
+   (v -> u, capacity 0), and every vertex's slice of [arcs] lists its arc
+   ids in increasing k. The original capacities are the view's own weight
+   array, shared. *)
+let build ?unit csr =
+  let n = Csr.n csr in
+  let roff, rdst, rw = Csr.out_rows csr in
+  let m = Csr.m csr in
   let head = Array.make (2 * m) 0 in
-  let cap = Array.make (2 * m) 0.0 in
+  let fwd = match unit with Some c -> Array.make m c | None -> rw in
   let off = Array.make (n + 1) 0 in
-  List.iter
-    (fun (u, v, _) ->
+  for u = 0 to n - 1 do
+    for k = roff.(u) to roff.(u + 1) - 1 do
       off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1)
-    arc_list;
+      off.(rdst.(k) + 1) <- off.(rdst.(k) + 1) + 1
+    done
+  done;
   for i = 0 to n - 1 do
     off.(i + 1) <- off.(i + 1) + off.(i)
   done;
@@ -44,66 +53,58 @@ let build n arc_list =
     cur.(u) <- i + 1;
     arcs.(i) <- a
   in
-  List.iteri
-    (fun k (u, v, c) ->
+  for u = 0 to n - 1 do
+    for k = roff.(u) to roff.(u + 1) - 1 do
+      let v = rdst.(k) in
       let a = 2 * k and b = (2 * k) + 1 in
       head.(a) <- v;
-      cap.(a) <- c;
       put u a;
       head.(b) <- u;
-      cap.(b) <- 0.0;
-      put v b)
-    arc_list;
+      put v b
+    done
+  done;
   {
     n;
     off;
     arcs;
     head;
-    cap;
-    cap0 = Array.copy cap;
+    cap = Array.make (2 * m) 0.0;
+    fwd;
     level = Array.make n (-1);
     iter = Array.make n 0;
+    queue = Array.make (max 1 n) 0;
   }
 
-(* Arcs of a frozen view in ascending (tail, head) order. *)
-let arcs_of_csr ?cap csr =
-  let acc = ref [] in
-  for u = Csr.n csr - 1 downto 0 do
-    let row = ref [] in
-    Csr.iter_out csr u (fun v w ->
-        row := (u, v, Option.value cap ~default:w) :: !row);
-    acc := List.rev_append !row !acc
-  done;
-  !acc
+let of_csr csr = build csr
+let of_digraph g = build (Csr.of_digraph g)
 
-let of_csr csr = build (Csr.n csr) (arcs_of_csr csr)
+(* The symmetric CSR view already stores each undirected edge as a pair of
+   opposite arcs of the full capacity, which models undirected flow
+   exactly. *)
+let of_ugraph g = build (Csr.of_ugraph g)
 
-let of_digraph g =
-  let csr = Csr.of_digraph g in
-  build (Digraph.n g) (arcs_of_csr csr)
-
-let of_ugraph g =
-  (* The symmetric CSR view already stores each undirected edge as a pair
-     of opposite arcs of the full capacity, which models undirected flow
-     exactly. *)
-  let csr = Csr.of_ugraph g in
-  build (Ugraph.n g) (arcs_of_csr csr)
-
-let reset t = Array.blit t.cap0 0 t.cap 0 (Array.length t.cap)
+let reset t =
+  for k = 0 to Array.length t.fwd - 1 do
+    t.cap.(2 * k) <- t.fwd.(k);
+    t.cap.((2 * k) + 1) <- 0.0
+  done
 
 let bfs t s =
   Array.fill t.level 0 t.n (-1);
-  let q = Queue.create () in
+  let q = t.queue in
   t.level.(s) <- 0;
-  Queue.add s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
+  q.(0) <- s;
+  let next = ref 0 and len = ref 1 in
+  while !next < !len do
+    let u = q.(!next) in
+    incr next;
     for p = t.off.(u) to t.off.(u + 1) - 1 do
       let a = t.arcs.(p) in
       let v = t.head.(a) in
       if t.cap.(a) > eps && t.level.(v) < 0 then begin
         t.level.(v) <- t.level.(u) + 1;
-        Queue.add v q
+        q.(!len) <- v;
+        incr len
       end
     done
   done
@@ -171,7 +172,7 @@ let mincut_side t ~s ~t:sink =
   (f, side)
 
 (* One residual network serves all n-1 source-fixed max-flow runs
-   ([maxflow] starts from [reset], an O(m) blit — never a rebuild), and
+   ([maxflow] starts from [reset], one O(m) pass — never a rebuild), and
    every run is capped at the running minimum: a flow that reaches the
    current best cannot lower it, so the run stops there. The running
    minimum starts at the minimum weighted degree (the cheapest singleton
@@ -198,6 +199,5 @@ let edge_connectivity g =
   if !best <= eps then 0.0 else !best
 
 let edge_disjoint_paths g ~s ~t:sink =
-  let csr = Csr.of_ugraph g in
-  let net = build (Ugraph.n g) (arcs_of_csr ~cap:1.0 csr) in
+  let net = build ~unit:1.0 (Csr.of_ugraph g) in
   int_of_float (Float.round (maxflow net ~s ~t:sink))

@@ -19,7 +19,7 @@ val of_csr : Dcs_graph.Csr.t -> t
     [of_digraph]/[of_ugraph] build, without re-freezing. A symmetric CSR
     (from {!Dcs_graph.Csr.of_ugraph}) models undirected flow; arc order is
     the view's canonical row order. Build once per graph and reuse it: a
-    {!maxflow} call resets the previous flow with one O(m) blit, so a
+    {!maxflow} call resets the previous flow with one O(m) pass, so a
     batch of connectivity queries pays one construction total. *)
 
 val maxflow : ?limit:float -> t -> s:int -> t:int -> float

@@ -1,6 +1,7 @@
 module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
 module Cut = Dcs_graph.Cut
+module Trace = Dcs_obs_core.Trace
 module Prng = Dcs_util.Prng
 
 (* Per-domain scratch for one contraction run: edge clocks, the index
@@ -121,6 +122,7 @@ let parallel_runs ?domains ?chunk rng ~trials g =
 
 let mincut ?domains ?chunk rng ~trials g =
   if trials < 1 then invalid_arg "Karger.mincut: trials >= 1";
+  Trace.with_span "karger.mincut" @@ fun () ->
   let runs = parallel_runs ?domains ?chunk rng ~trials g in
   let best = ref runs.(0) in
   for t = 1 to trials - 1 do

@@ -1,6 +1,7 @@
 module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
 module Cut = Dcs_graph.Cut
+module Trace = Dcs_obs_core.Trace
 
 (* Classic minimum-cut-phase formulation: repeatedly run a maximum-adjacency
    ordering, record the cut-of-the-phase (last vertex added versus the rest),
@@ -11,6 +12,7 @@ module Cut = Dcs_graph.Cut
 let mincut g =
   let n = Ugraph.n g in
   if n < 2 then invalid_arg "Stoer_wagner.mincut: need at least 2 vertices";
+  Trace.with_span "stoer_wagner.mincut" @@ fun () ->
   let w = Array.make_matrix n n 0.0 in
   (* Dense init off the frozen arc arrays; each undirected edge appears as
      two opposite arcs, filling both triangles in one pass. *)

@@ -30,11 +30,16 @@
     Estimates are a pure function of graph content (canonical edge order
     read off the frozen view, pure per-index merge and flow tasks):
     byte-identical for every domain count.
-    Strength/certificate tiers count rounded integer multiplicities, so
-    on graphs with sub-unit fractional weights tiers 2–4 can overshoot
-    the (un-rounded) connectivity by the rounding; with weights >= 1 in
-    integer units — every generator in this repo — all tiers are exact
-    lower bounds. Metered as [conn.edges], [conn.by_weight],
+    {b Caveat.} The NI tier counts rounded integer multiplicities
+    ([max 1 (round w)]), so on fractional weights it can overshoot the
+    connectivity, and λ̂ = the max over tiers inherits the excess (the
+    certificate the flows run on is clamped to the true weights, so the
+    flow tier itself stays sound). Not every generator draws integer
+    weights ({!Dcs_graph.Generators.balanced_digraph} does not). Only on
+    integer weights >= 1 is every estimate a proven lower bound, so a
+    caller that needs the proof must check the weights first — as
+    {!Dcs_solve.Partial_mincut.mincut}'s exact path does with its
+    integer-weight guard. Metered as [conn.edges], [conn.by_weight],
     [conn.by_strength], [conn.by_triangle], [conn.flows],
     [conn.budgeted]. *)
 
@@ -61,9 +66,11 @@ val estimate_ugraph :
 (** λ̂ for every undirected edge (u < v). [csr] reuses a frozen view of
     [g] (it must match [g]; omitted, one is frozen here) — the
     common-neighbour tier and the canonical edge order read it. [strengths] reuses a
-    precomputed NI decomposition (its {!Strength.certificate} is the flow
-    graph, so estimates are sharp at [cap] when it ran for at least [cap]
-    rounds — the default computes exactly that many); [flow_budget]
+    precomputed NI decomposition of [g] (its {!Strength.certificate} is
+    the flow graph, so estimates are sharp at [cap] when it ran for at
+    least [cap] rounds — the default computes exactly that many); the NI
+    tier walks it in lock-step with the canonical edges and raises
+    [Invalid_argument] at the first edge where the two differ; [flow_budget]
     (default unlimited) caps the exact tier. [cap] must be positive;
     pass [infinity] for uncapped exact local connectivities (the cheap
     tiers then never fire). *)
@@ -89,13 +96,17 @@ val n : t -> int
 
 val cap : t -> float
 
-val edges : t -> (int * int * float) array
-(** The estimated edges with their original weights, in canonical
-    ascending (u, v) order — the order {!Importance} samplers consume
-    their streams in. Callers must not mutate. *)
+val edges : t -> int array * int array * float array
+(** [(off, dst, w)]: the estimated edges as rows by source, in the shape
+    of {!Dcs_graph.Csr.out_rows} — edge [i] is (u, [dst.(i)]) with
+    original weight [w.(i)] for [off.(u) <= i < off.(u+1)], in canonical
+    ascending (u, v) order (the order {!Importance} samplers consume
+    their streams in). The arrays are shared, not copied (a directed
+    estimate shares its frozen view's out-rows); callers must not mutate
+    them. *)
 
 val lambda_at : t -> int -> float
-(** Estimate for {!edges}[(i)]; in [(0, cap t]]. *)
+(** Estimate for edge [i] of {!edges}; in [(0, cap t]]. *)
 
 val iter : t -> (int -> int -> float -> float -> unit) -> unit
 (** [iter t f] calls [f u v w lambda] in canonical edge order. *)

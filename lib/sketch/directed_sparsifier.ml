@@ -58,7 +58,8 @@ let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget
     | Some conn ->
         if
           Connectivity.n conn <> Digraph.n g
-          || Array.length (Connectivity.edges conn) <> Digraph.m g
+          || (let _, dst, _ = Connectivity.edges conn in
+              Array.length dst <> Digraph.m g)
         then
           invalid_arg
             "Directed_sparsifier.connectivity_sparsify: connectivity is for \
@@ -73,14 +74,16 @@ let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget
   in
   let master = Prng.fork rng in
   let h = Digraph.create (Digraph.n g) in
-  Array.iteri
-    (fun i (u, v, w) ->
+  let off, dst, w = Connectivity.edges conn in
+  for u = 0 to Digraph.n g - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
       let lam = Connectivity.lambda_at conn i in
       let p = if lam <= 0.0 then 1.0 else rho /. lam in
-      match Importance.binomial_keep (Prng.split master i) ~p ~w with
-      | Some w' -> Digraph.add_edge h u v w'
-      | None -> ())
-    (Connectivity.edges conn);
+      match Importance.binomial_keep (Prng.split master i) ~p ~w:w.(i) with
+      | Some w' -> Digraph.add_edge h u dst.(i) w'
+      | None -> ()
+    done
+  done;
   h
 
 (* Exact expected kept-edge count of [connectivity_sparsify] at rate

@@ -14,40 +14,33 @@ type t = {
   cons : int array; (* forests that used the edge (<= idx) *)
 }
 
-(* The edges of [g] as rows by lower endpoint, each row sorted: a fill
-   grouped by upper endpoint (walked in increasing order, so each group
-   lists its lower endpoints in hashtable order) and a counting transpose
-   back by increasing upper endpoint. Returns (off, dst, w). *)
+(* The edges of [g] as rows by lower endpoint, each row sorted, with each
+   edge's rounded multiplicity (at least 1): one pass counts the rows, a
+   second walks upper endpoints v in increasing order and appends v to
+   the row of each lower neighbour u, so every row fills in ascending
+   order with no transpose and no weight copy. Returns (off, dst, mult). *)
 let upper_rows g =
   let n = Ugraph.n g and m = Ugraph.m g in
-  let goff = Array.make (n + 1) 0 and off = Array.make (n + 1) 0 in
-  let gsrc = Array.make m 0 and gw = Array.make m 0.0 in
-  let k = ref 0 in
+  let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    Ugraph.iter_neighbors g v (fun u w ->
-        if u < v then begin
-          gsrc.(!k) <- u;
-          gw.(!k) <- w;
-          off.(u + 1) <- off.(u + 1) + 1;
-          incr k
-        end);
-    goff.(v + 1) <- !k
+    Ugraph.iter_neighbors g v (fun u _ ->
+        if u < v then off.(u + 1) <- off.(u + 1) + 1)
   done;
   for u = 0 to n - 1 do
     off.(u + 1) <- off.(u + 1) + off.(u)
   done;
-  let dst = Array.make m 0 and w = Array.make m 0.0 in
+  let dst = Array.make m 0 and mult = Array.make m 0 in
   let cur = Array.sub off 0 (max 1 n) in
   for v = 0 to n - 1 do
-    for j = goff.(v) to goff.(v + 1) - 1 do
-      let u = gsrc.(j) in
-      let i = cur.(u) in
-      cur.(u) <- i + 1;
-      dst.(i) <- v;
-      w.(i) <- gw.(j)
-    done
+    Ugraph.iter_neighbors g v (fun u w ->
+        if u < v then begin
+          let i = cur.(u) in
+          cur.(u) <- i + 1;
+          dst.(i) <- v;
+          mult.(i) <- max 1 (int_of_float (Float.round w))
+        end)
   done;
-  (off, dst, w)
+  (off, dst, mult)
 
 (* Union-find used per forest round. *)
 let rec find parent x =
@@ -61,17 +54,13 @@ let compute ?(max_rounds = 512) g =
   if max_rounds < 1 then invalid_arg "Strength.compute: max_rounds";
   Trace.with_span "strength.compute" @@ fun () ->
   let n = Ugraph.n g in
-  let off, dst, w = upper_rows g in
+  (* While an edge is live, [idx] holds its multiplicity and [cons] the
+     forests that used it so far; it is exhausted when they meet, and
+     [idx] then takes the round, negated until the forests end. *)
+  let off, dst, idx = upper_rows g in
   let m = Array.length dst in
-  let src = Array.make m 0 in
-  for u = 0 to n - 1 do
-    Array.fill src off.(u) (off.(u + 1) - off.(u)) u
-  done;
-  (* Remaining multiplicity per edge; [live] lists the edges with some
-     left, ascending. *)
-  let rem = Array.map (fun x -> max 1 (int_of_float (Float.round x))) w in
-  let idx = Array.make m 0 and cons = Array.make m 0 in
-  let live = Array.init m Fun.id and nlive = ref m in
+  let cons = Array.make m 0 in
+  let nlive = ref m in
   let used = Array.make (max 1 n) 0 in
   let parent = Array.make n 0 in
   let round = ref 0 in
@@ -87,40 +76,30 @@ let compute ?(max_rounds = 512) g =
       parent.(x) <- x
     done;
     let nused = ref 0 in
-    for k = 0 to !nlive - 1 do
-      let i = live.(k) in
-      let ru = find parent src.(i) and rv = find parent dst.(i) in
-      if ru <> rv then begin
-        parent.(ru) <- rv;
-        used.(!nused) <- i;
-        incr nused
-      end
+    for u = 0 to n - 1 do
+      for i = off.(u) to off.(u + 1) - 1 do
+        if idx.(i) > 0 then begin
+          let ru = find parent u and rv = find parent dst.(i) in
+          if ru <> rv then begin
+            parent.(ru) <- rv;
+            used.(!nused) <- i;
+            incr nused
+          end
+        end
+      done
     done;
-    let exhausted = ref false in
     for k = 0 to !nused - 1 do
       let i = used.(k) in
       cons.(i) <- cons.(i) + 1;
-      rem.(i) <- rem.(i) - 1;
-      if rem.(i) = 0 then begin
-        idx.(i) <- !round;
-        exhausted := true
+      if cons.(i) = idx.(i) then begin
+        idx.(i) <- - !round;
+        decr nlive
       end
-    done;
-    if !exhausted then begin
-      let j = ref 0 in
-      for k = 0 to !nlive - 1 do
-        let i = live.(k) in
-        if rem.(i) > 0 then begin
-          live.(!j) <- i;
-          incr j
-        end
-      done;
-      nlive := !j
-    end
+    done
   done;
   (* Edges still alive are at least max_rounds-connected. *)
-  for k = 0 to !nlive - 1 do
-    idx.(live.(k)) <- !round
+  for i = 0 to m - 1 do
+    idx.(i) <- (if idx.(i) > 0 then !round else - idx.(i))
   done;
   { n; rounds = !round; off; dst; idx; cons }
 

@@ -1,4 +1,5 @@
-(** Sparsify-then-solve minimum cuts with certification and repair.
+(** Sparsify-then-solve minimum cuts with certification and repair, and an
+    exact path that skips sampling when the λ̂ estimates already decide.
 
     The partial-sparsification recipe of Cen–Li–Nanongkai et al.
     ({i Minimum Cuts in Directed Graphs via Partial Sparsification}): run
@@ -12,26 +13,54 @@
     unsolvable (e.g. disconnected), the dense solver reruns on the
     original graph — the fast path can make the answer slower, never
     wrong. Accepted answers are (1+ε)-approximate minimum cuts with the
-    sparsifier's success probability. Metered as [partial.solves],
-    [partial.certified], [partial.fallbacks]. *)
+    sparsifier's success probability.
+
+    {!mincut} first tries the {e exact path}: a minimum cut crosses only
+    low-connectivity edges, so every edge whose λ̂ reaches
+    τ = min(U₀, cap) (U₀ the minimum weighted degree) is contracted and
+    Stoer–Wagner solves the quotient; when that proves the minimum, it is
+    the answer and nothing is sampled. Metered as [partial.solves],
+    [partial.exact], [partial.certified], [partial.fallbacks]. *)
 
 type solver =
   | Karger of { trials : int }
   | Karger_stein of { runs : int option }  (** [None]: the solver default *)
   | Stoer_wagner
 
+(** Why the dense solver reran on the input graph. *)
+type fallback =
+  | H_unsolvable  (** the solver rejected H (e.g. sampling disconnected it) *)
+  | Eps_violated  (** H's value for the cut broke the ε promise *)
+
+(** Which path answered. *)
+type path =
+  | Exact  (** the λ̂ quotient proved the minimum; nothing was sampled *)
+  | Sampled  (** the cut solved on H certified within ε *)
+  | Dense of fallback
+
 type stats = {
+  path : path;
   m_full : int;  (** edges of the input graph *)
-  m_sparse : int;  (** edges of the sparsifier actually solved *)
+  m_sparse : int;
+      (** edges of the graph the fast path solved: the quotient on
+          [Exact], the sparsifier H otherwise *)
   conn : Dcs_sketch.Connectivity.stats;  (** how λ̂ tiers resolved (prefilters/flows) *)
-  sparse_value : float;  (** the cut's value in H ([nan] if H unsolvable) *)
-  certified : bool;
-  fell_back : bool;
+  quotient_k : int;
+      (** super-vertices of the λ̂ quotient; 0 when the integer-weight
+          guard skipped it (and always for {!st_mincut}) *)
+  tau : float;  (** the contraction threshold min(U₀, cap); [nan] if skipped *)
+  sparse_value : float;
+      (** the cut's value in the graph solved ([nan] if H unsolvable) *)
+  margin : float;
+      (** certify slack ε·exact − |exact − sparse| (up to a 1e-9
+          tolerance): >= 0 exactly when the cut certified; [nan] when no
+          certification ran ([Exact], [Dense H_unsolvable]) *)
 }
 
 type result = { value : float; cut : Dcs_graph.Cut.t; stats : stats }
 (** [value] is always an exact cut weight of the {e original} graph for
-    [cut] — repaired on the sparse path, native on the dense path. *)
+    [cut] — the proven minimum on [Exact], repaired on [Sampled], native
+    on [Dense]. *)
 
 val rho_ugraph : ?c:float -> eps:float -> n:int -> unit -> float
 (** Undirected sampling rate c·ln n/ε² (default [c] = 2): sampling by
@@ -79,13 +108,32 @@ val mincut :
   solver:solver ->
   Dcs_graph.Ugraph.t ->
   result
-(** Global minimum cut through {!sparsify} + [solver] + certify/repair.
+(** Global minimum cut: the exact path, else {!sparsify} + [solver] +
+    certify/repair.
+
+    {b Exact path.} With the estimates in hand (λ̂ <= λ) and U₀ the
+    minimum weighted degree, every edge with λ̂ >= τ = min(U₀, cap) is
+    contracted (union-find, canonical order). A cut lighter than τ
+    separates no such edge, so it survives in the k-vertex quotient,
+    and every quotient cut is a cut of [g]. When k³ <= max(8, m),
+    Stoer–Wagner solves the quotient and min(U₀, its cut) is returned —
+    exact, and with path [Exact] — if it is below τ or τ = U₀ (cap >= U₀);
+    its weight is recomputed on the frozen view and must match. Otherwise
+    the sampled path below runs unchanged on the same [rng] forks.
+
+    {b Guard.} The exact path runs only when every weight is an integer in
+    [\[1, 2{^52}\]]: λ̂'s NI tier counts rounded multiplicities, so only
+    there is it a proven lower bound (see {!Dcs_sketch.Connectivity}). On
+    fractional weights the sampled path answers, whose certify/repair
+    tolerates an overestimate.
+
     [csr] reuses an existing frozen view of the input graph for
     certification and λ̂ estimation (it must match [g]); omitted, one is
     frozen here — either way [g] is frozen at most once.
     Note Stoer–Wagner's O(n³) does not shrink with the edge count — pair
     it with this driver for certification value, not speed; the
-    contraction solvers (Karger, Karger–Stein) are the fast path. *)
+    contraction solvers (Karger, Karger–Stein) are the fast sampled
+    path. *)
 
 val st_mincut :
   ?c:float ->

@@ -218,19 +218,21 @@ let check_conn ~label ref_edges (ref_lambda, (bw, bs, bt, fl, bu)) conn =
   Alcotest.(check int) (label ^ ": by_triangle") bt st.Connectivity.by_triangle;
   Alcotest.(check int) (label ^ ": flows") fl st.Connectivity.flows;
   Alcotest.(check int) (label ^ ": budgeted") bu st.Connectivity.budgeted;
-  let edges = Connectivity.edges conn in
+  let _, dst, _ = Connectivity.edges conn in
   Alcotest.(check int) (label ^ ": edge count") (Array.length ref_edges)
-    (Array.length edges);
-  Array.iteri
-    (fun i (u, v, w) ->
-      let u', v', w' = ref_edges.(i) in
+    (Array.length dst);
+  let i = ref 0 in
+  Connectivity.iter conn (fun u v w lam ->
+      let u', v', w' = ref_edges.(!i) in
       if u <> u' || v <> v' || bits w <> bits w' then
-        Alcotest.failf "%s: edge %d is (%d,%d,%h), reference (%d,%d,%h)" label i
-          u v w u' v' w';
-      if bits (Connectivity.lambda_at conn i) <> bits ref_lambda.(i) then
-        Alcotest.failf "%s: lambda(%d,%d) = %h, reference %h" label u v
-          (Connectivity.lambda_at conn i) ref_lambda.(i))
-    edges
+        Alcotest.failf "%s: edge %d is (%d,%d,%h), reference (%d,%d,%h)" label
+          !i u v w u' v' w';
+      if bits lam <> bits (Connectivity.lambda_at conn !i) then
+        Alcotest.failf "%s: iter and lambda_at disagree at edge %d" label !i;
+      if bits lam <> bits ref_lambda.(!i) then
+        Alcotest.failf "%s: lambda(%d,%d) = %h, reference %h" label u v lam
+          ref_lambda.(!i);
+      incr i)
 
 (* 4 saturates by weight or strength, 24 mostly by common neighbours, and
    1e6 saturates nothing: every edge reaches the merge tier and then the
@@ -278,13 +280,23 @@ let test_lambda_ugraph_oracle () =
           in
           note_tiers expected;
           let strengths = Strength.compute ~max_rounds:rounds g in
+          (* Both neighbour-row sources: rows built from [g] (no frozen
+             view given) and a given frozen view. *)
+          let frozen = Csr.of_ugraph g in
           List.iter
             (fun domains ->
               check_conn
                 ~label:(Printf.sprintf "ugraph seed %d cap %g d=%d" seed cap domains)
                 edges expected
                 (Connectivity.estimate_ugraph ~domains ~flow_budget ~strengths
-                   ~cap g))
+                   ~cap g);
+              check_conn
+                ~label:
+                  (Printf.sprintf "ugraph seed %d cap %g d=%d csr" seed cap
+                     domains)
+                edges expected
+                (Connectivity.estimate_ugraph ~domains ~flow_budget ~strengths
+                   ~csr:frozen ~cap g))
             [ 1; 2; 4 ])
         caps)
     (* 120 vertices at p = 0.5 give ~3500 edges: several merge blocks,

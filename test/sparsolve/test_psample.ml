@@ -18,12 +18,8 @@ let test_identity_when_cap_leq_rho () =
     Partial_mincut.sparsify ~rho:10.0 ~cap:10.0 (Prng.create 1) ~eps:0.5 g
   in
   Alcotest.(check bool) "identity" true (Ugraph.equal g h);
-  Array.iteri
-    (fun i _ ->
-      Alcotest.(check bool)
-        "lambda-hat <= cap" true
-        (Connectivity.lambda_at conn i <= 10.0 +. 1e-9))
-    (Connectivity.edges conn)
+  Connectivity.iter conn (fun _ _ _ lam ->
+      Alcotest.(check bool) "lambda-hat <= cap" true (lam <= 10.0 +. 1e-9))
 
 let test_sparsify_deterministic () =
   let g = ugraph 11 ~n:60 ~p:0.4 ~max_weight:6 in
@@ -40,8 +36,8 @@ let test_domain_count_identity () =
     let conn =
       Connectivity.estimate_ugraph ~domains ~flow_budget:16 ~cap:64.0 g
     in
-    Array.mapi (fun i _ -> Connectivity.lambda_at conn i)
-      (Connectivity.edges conn)
+    let _, dst, _ = Connectivity.edges conn in
+    Array.mapi (fun i _ -> Connectivity.lambda_at conn i) dst
   in
   let l1 = lambdas 1 in
   List.iter
@@ -130,6 +126,40 @@ let test_foreign_connectivity_rejected () =
         (Directed_sparsifier.connectivity_sparsify ~rho:4.0 ~connectivity:dconn
            (Prng.create 1) ~eps:0.5 ~beta:2.0 dg))
 
+(* The NI tier walks the strengths in lock-step with g's canonical edges,
+   so strengths of any other edge set — disjoint, one edge more or one
+   edge fewer — must be refused rather than read at the wrong edges. *)
+let test_foreign_strengths_rejected () =
+  let g = ugraph 24 ~n:30 ~p:0.4 ~max_weight:4 in
+  let with_edge h u v =
+    let h = Ugraph.copy h in
+    Ugraph.add_edge h u v 1.0;
+    h
+  in
+  let missing_pair =
+    let rec find u v =
+      if Ugraph.mem_edge g u v then
+        if v + 1 < 30 then find u (v + 1) else find (u + 1) (u + 2)
+      else (u, v)
+    in
+    find 0 1
+  in
+  let superset = with_edge g (fst missing_pair) (snd missing_pair) in
+  let others = [ ugraph 25 ~n:30 ~p:0.4 ~max_weight:4; superset ] in
+  let expect label h g =
+    let strengths = Strength.compute ~max_rounds:8 h in
+    match Connectivity.estimate_ugraph ~strengths ~cap:16.0 g with
+    | _ -> Alcotest.failf "%s: foreign strengths accepted" label
+    | exception Invalid_argument msg ->
+        let prefix = "Connectivity.estimate_ugraph: strengths are for another" in
+        Alcotest.(check string)
+          label prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  List.iteri (fun i h -> expect (Printf.sprintf "other %d" i) h g) others;
+  (* g's strengths, read for the superset graph: one edge too few. *)
+  expect "subset" g superset
+
 let suite =
   [
     Alcotest.test_case "cap <= rho is the identity" `Quick
@@ -143,4 +173,6 @@ let suite =
     Alcotest.test_case "parameter validation" `Quick test_rho_validation;
     Alcotest.test_case "foreign connectivity rejected" `Quick
       test_foreign_connectivity_rejected;
+    Alcotest.test_case "foreign strengths rejected" `Quick
+      test_foreign_strengths_rejected;
   ]
